@@ -1,6 +1,6 @@
 //! Experiment reproduction driver: one subcommand per table/figure of the
 //! paper's evaluation (Section VI). Prints the same rows/series the paper
-//! reports, on the synthetic dataset stand-ins (DESIGN.md §5).
+//! reports, on the synthetic dataset stand-ins (`egobtw_bench::standins`).
 //!
 //! ```text
 //! cargo run --release -p egobtw-bench --bin repro -- <command> [--scale S] [--k K]
@@ -19,17 +19,23 @@
 //! ```
 //!
 //! `--scale` multiplies dataset sizes (default 1.0; use 0.1–0.3 for a
-//! quick pass). Measured outputs are recorded in EXPERIMENTS.md.
+//! quick pass).
 
 use egobtw_baseline::{overlap_fraction, top_bw};
 use egobtw_bench::{case_study, ms, print_table, standins, time, Dataset};
 use egobtw_core::{base_bsearch, compute_all, compute_all_naive, opt_bsearch, OptParams};
 use egobtw_dynamic::{LazyTopK, LocalIndex};
 use egobtw_gen::sample::{edge_sample, vertex_sample};
+use egobtw_graph::intersect::{
+    bitmap_bitmap_intersection_count, gallop_intersection_count, intersection_count,
+    intersection_count_with, merge_intersection_count, pack_bitmap,
+    slice_bitmap_intersection_count, KernelParams,
+};
 use egobtw_graph::VertexId;
 use egobtw_parallel::{edge_pebw, vertex_pebw};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -443,7 +449,7 @@ fn exp7(scale: f64) {
 // ------------------------------------------------------------ ablations
 
 fn ablate(scale: f64) {
-    banner("Ablations: design choices (DESIGN.md §7)");
+    banner("Ablations: design choices");
     let d = standins(scale)
         .into_iter()
         .find(|d| d.name == "dblp-like")
@@ -464,8 +470,103 @@ fn ablate(scale: f64) {
             vec!["per-ego straightforward".into(), ms(t_naive)],
         ],
     );
-    println!(
-        "\n(intersection-kernel and edge-membership ablations live in the\n\
-         criterion bench `micro`: cargo bench -p egobtw-bench --bench micro)"
+    kernel_ablations();
+}
+
+/// Id universe of the kernel ablations' synthetic adjacency rows.
+const UNIVERSE: u32 = 1 << 20;
+
+/// `len` distinct ids below [`UNIVERSE`], ascending: an adjacency-row shape.
+fn sorted_random(len: usize, seed: u64) -> Vec<VertexId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut set = std::collections::BTreeSet::new();
+    while set.len() < len {
+        set.insert(rng.random_range(0..UNIVERSE));
+    }
+    set.into_iter().collect()
+}
+
+/// Nanoseconds per call of `f`: the best of five timed batches of `reps`
+/// calls, so one descheduled batch does not skew a kernel's row.
+fn ns_per_call(reps: usize, mut f: impl FnMut() -> usize) -> String {
+    let best = (0..5)
+        .map(|_| {
+            time(|| {
+                for _ in 0..reps {
+                    black_box(f());
+                }
+            })
+            .1
+        })
+        .min()
+        .expect("five batches");
+    format!("{:.1}", best.as_nanos() as f64 / reps as f64)
+}
+
+/// The intersection-kernel measurements behind `KernelParams`' defaults:
+/// merge vs gallop vs the adaptive dispatch across length skews, the
+/// bitmap kernels on hub-shaped rows, and a `gallop_ratio` sweep on the
+/// mid-skew shape where the merge/gallop crossover sits.
+fn kernel_ablations() {
+    const REPS: usize = 1_000;
+    println!("\nIntersection kernels, ns per call (2^20-id universe):");
+    let mut rows = Vec::new();
+    for (la, lb) in [(1_000usize, 1_000usize), (32, 10_000), (4, 50_000)] {
+        let a = sorted_random(la, 1);
+        let b = sorted_random(lb, 2);
+        rows.push(vec![
+            format!("{la}x{lb}"),
+            ns_per_call(REPS, || merge_intersection_count(&a, &b)),
+            ns_per_call(REPS, || gallop_intersection_count(&a, &b)),
+            ns_per_call(REPS, || intersection_count(&a, &b)),
+        ]);
+    }
+    print_table(&["shape", "merge", "gallop", "adaptive"], &rows);
+
+    let words = (UNIVERSE as usize).div_ceil(64);
+    let hub_a = sorted_random(20_000, 11);
+    let hub_b = sorted_random(16_000, 12);
+    let row_a = pack_bitmap(&hub_a, words);
+    let row_b = pack_bitmap(&hub_b, words);
+    println!("\nBitmap kernels vs slice kernels on hub rows, ns per call:");
+    let mut rows = Vec::new();
+    for probe_len in [8usize, 64, 1_024] {
+        let probe = sorted_random(probe_len, 13);
+        rows.push(vec![
+            format!("{probe_len}x{}", hub_a.len()),
+            ns_per_call(REPS, || merge_intersection_count(&probe, &hub_a)),
+            ns_per_call(REPS, || gallop_intersection_count(&probe, &hub_a)),
+            ns_per_call(REPS, || slice_bitmap_intersection_count(&probe, &row_a)),
+            "-".into(),
+        ]);
+    }
+    rows.push(vec![
+        format!("{}x{}", hub_a.len(), hub_b.len()),
+        ns_per_call(REPS, || merge_intersection_count(&hub_a, &hub_b)),
+        "-".into(),
+        "-".into(),
+        ns_per_call(REPS, || bitmap_bitmap_intersection_count(&row_a, &row_b)),
+    ]);
+    print_table(
+        &["shape", "merge", "gallop", "slice_bitmap", "bitmap_bitmap"],
+        &rows,
     );
+
+    let a = sorted_random(64, 21);
+    let b = sorted_random(4_096, 22);
+    println!("\nKernelParams::gallop_ratio sweep on 64x4096, ns per call:");
+    let rows: Vec<Vec<String>> = [1usize, 8, 16, 32, 64, 128]
+        .into_iter()
+        .map(|ratio| {
+            let params = KernelParams {
+                gallop_ratio: ratio,
+                ..KernelParams::new()
+            };
+            vec![
+                ratio.to_string(),
+                ns_per_call(REPS, || intersection_count_with(&a, &b, &params)),
+            ]
+        })
+        .collect();
+    print_table(&["gallop_ratio", "adaptive"], &rows);
 }

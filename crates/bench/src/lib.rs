@@ -1,6 +1,6 @@
-//! Shared harness for the experiment reproduction driver and the
-//! Criterion benches: the synthetic dataset registry (stand-ins for the
-//! paper's five SNAP graphs — DESIGN.md §5), wall-clock helpers, and
+//! Shared harness for the `repro` experiment driver and the `perf`
+//! recorder: the synthetic dataset registry (stand-ins for the paper's
+//! five SNAP graphs — see [`standins`]), wall-clock helpers, and
 //! fixed-width table printing that mirrors the paper's layout.
 
 use egobtw_gen::rmat::RmatParams;

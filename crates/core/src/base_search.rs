@@ -17,7 +17,9 @@ use egobtw_graph::CsrGraph;
 /// work counters ([`crate::stats::SearchStats::exact_computations`] is the
 /// Table II column).
 pub fn base_bsearch(g: &CsrGraph, k: usize) -> TopkResult {
-    let mut top = TopKSet::new(k);
+    // A top-k never holds more than n entries; clamping keeps a huge
+    // client-supplied k from sizing the heap.
+    let mut top = TopKSet::new(k.min(g.n()));
     let mut engine = Engine::new(g);
     if k == 0 {
         return TopkResult {

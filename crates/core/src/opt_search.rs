@@ -55,7 +55,9 @@ pub fn opt_bsearch_cancellable(
 ) -> Result<TopkResult, Cancelled> {
     assert!(params.theta >= 1.0, "θ must be ≥ 1");
     let mut engine = Engine::new(g);
-    let mut top = TopKSet::new(k);
+    // A top-k never holds more than n entries; clamping keeps a huge
+    // client-supplied k from sizing the heap.
+    let mut top = TopKSet::new(k.min(g.n()));
     if k == 0 || g.n() == 0 {
         return Ok(TopkResult {
             entries: Vec::new(),

@@ -94,6 +94,15 @@ fn k_zero_and_k_over_n_on_named_graphs() {
     }
 }
 
+/// A client-supplied k far beyond n (the service passes TOPK's k straight
+/// through) must be clamped, not used to size any allocation.
+#[test]
+fn huge_k_is_clamped_to_n() {
+    for k in [u32::MAX as usize, usize::MAX] {
+        check_engines(&classic::karate_club(), k, &format!("karate k={k}"));
+    }
+}
+
 #[test]
 fn duplicate_and_self_loop_edges_collapse_before_search() {
     // from_edges tolerates duplicates (both orientations) and self-loops;

@@ -1,5 +1,5 @@
 //! `mkdata` — emit any generator family to an edge-list or binary
-//! snapshot file, so the query service and loadgen have reproducible
+//! snapshot file, so the query service and its benchmarks have reproducible
 //! datasets without network access.
 //!
 //! ```text

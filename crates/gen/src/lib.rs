@@ -3,7 +3,8 @@
 //! The paper evaluates on five SNAP datasets that are unavailable offline;
 //! these generators produce deterministic stand-ins that preserve the three
 //! structural axes the algorithms are sensitive to (degree skew, triangle
-//! density, community structure) — see DESIGN.md §5 for the mapping.
+//! density, community structure). The paper-dataset mapping is the
+//! `egobtw_bench::standins` registry.
 //!
 //! All generators take an explicit `seed` and are fully deterministic: the
 //! same `(parameters, seed)` always yields the same graph, so experiment
@@ -55,8 +56,8 @@ pub const SYNTH_FAMILIES: &[&str] = &[
 ];
 
 /// One-stop named-family synthesis, shared by the `mkdata` binary and the
-/// service's `egobtw-cli loadgen --gen` so "the same `(family, scale,
-/// seed)` is the same graph" holds *across tools*, not just within one.
+/// tests, so "the same `(family, scale, seed)` is the same graph" holds
+/// *across tools*, not just within one.
 /// `scale` multiplies the family's base size (ignored by the fixed
 /// `karate`/`toy` fixtures); the floor is 8 vertices.
 pub fn synth_family(family: &str, scale: f64, seed: u64) -> Result<CsrGraph, String> {

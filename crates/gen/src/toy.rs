@@ -1,9 +1,10 @@
 //! The paper's Fig. 1 running example, reconstructed exactly.
 //!
-//! The paper never lists the edge set, but the worked examples pin it down
-//! uniquely (see DESIGN.md §4). This module hardcodes that reconstruction
-//! together with every ego-betweenness value the paper states, so the whole
-//! stack can be golden-tested against the authors' own numbers:
+//! The paper never lists the edge set, but the worked examples (Fig. 2,
+//! Examples 2, 5 and 6) pin it down uniquely. This module hardcodes that
+//! reconstruction together with every ego-betweenness value the paper
+//! states, so the whole stack can be golden-tested against the authors'
+//! own numbers:
 //!
 //! * upper bounds / processing order of Fig. 2 (`c i f d x e h g b a …`),
 //! * `CB` values of Fig. 2 (41/6, 8, 11, 14/3, 10, 9/2, 2/3, 2/3, 1, 1),
@@ -13,7 +14,7 @@
 //! * Example 6's post-delete values for `g` (`CB(g)=0.5`). The paper's
 //!   claims for `c` and `e` after deleting `(c,g)` contradict its own
 //!   Lemmas 6–7; the corrected values (`14/3` and `13/2`) are recorded
-//!   here — see DESIGN.md §4 ("paper errata").
+//!   here.
 //!
 //! Vertex ids are assigned so the paper's tie-break ("larger id first"
 //! among equal degrees) reproduces the exact processing order of Fig. 2.

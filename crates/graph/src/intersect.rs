@@ -23,7 +23,8 @@ use crate::VertexId;
 
 /// Dispatch thresholds for the adaptive intersection kernels.
 ///
-/// The defaults are the values chosen by the `micro` criterion bench;
+/// The defaults are the values chosen by the kernel ablations of
+/// `repro ablate` (`crates/bench/src/bin/repro.rs`);
 /// [`KernelParams::legacy`] pins the pre-hybrid behavior (merge/gallop
 /// only, as shipped before bitmap rows existed) for baseline timing in
 /// `bench/src/bin/perf.rs`.
@@ -31,7 +32,7 @@ use crate::VertexId;
 pub struct KernelParams {
     /// Length ratio above which galloping beats the linear merge
     /// (`short · gallop_ratio < long`). 16–64 are all reasonable; see the
-    /// `intersection` group of the `micro` bench.
+    /// `gallop_ratio` sweep of `repro ablate`.
     pub gallop_ratio: usize,
     /// Bitmap×bitmap is chosen over probing the short slice into the long
     /// row when `short_len · bitmap_word_ratio ≥ words_per_row` — i.e. one

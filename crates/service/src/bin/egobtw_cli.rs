@@ -1,4 +1,4 @@
-//! `egobtw-cli` — scriptable client for `egobtw-serve`, plus the loadgen.
+//! `egobtw-cli` — scriptable client for `egobtw-serve`.
 //!
 //! ```text
 //! egobtw-cli script  --connect ADDR [--expect-ok] [FILE]
@@ -6,56 +6,16 @@
 //!     print `> command` and the response line(s). With --expect-ok, exit 1
 //!     if any response line is an ERR.
 //!
-//! egobtw-cli loadgen [--connect ADDR] [flags]
-//!     Drive a mixed read/update workload and write BENCH_service.json.
-//!     Without --connect the workload runs against an in-process Service
-//!     (no sockets) — deterministic and CI-friendly.
-//!
-//!     --dataset NAME=PATH[:MODE]  dataset file (repeatable)
-//!     --gen NAME=FAMILY:SCALE:SEED[:MODE]  synthesize instead (repeatable,
-//!                                 in-process target only)
-//!     --mix NAME:FRAC  named read/write scenario, e.g. read-heavy:0.1
-//!                   (repeatable; every dataset runs once per mix; without
-//!                   any --mix or extra scenario a single `default` mix at
-//!                   --write-frac runs)
-//!     --recovery    add the restart-recovery scenario: per dataset, a WAL
-//!                   write burst, a teardown, a timed recovery, then
-//!                   oracle-checked reads (always in-process)
-//!     --skew        add the shard-skew scenario: all datasets concurrent,
-//!                   writes concentrated on the first (needs ≥2 datasets)
-//!     --overload    add the overload scenario: a tiny saturated TCP server,
-//!                   recording shed rate, saturation QPS, and admitted-read
-//!                   percentiles (always spawns its own server)
-//!     --tenants N   add the multi-tenant scenario with N ≥ 2 synthesized
-//!                   tiny datasets in one catalog (always in-process)
-//!     --threads N   client threads per dataset (default 4)
-//!     --ops N       total ops per dataset (default 2000)
-//!     --write-frac F  update fraction of the default mix (default 0.1)
-//!     --k K         top-k size for reads (default 8)
-//!     --batch B     update ops per epoch (default 2)
-//!     --seed S      workload seed (default 42)
-//!     --check       oracle-check sampled top-k answers (skipped per
-//!                   dataset above --check-max-n vertices)
-//!     --check-max-n N  largest n the oracle check runs on (default 512)
-//!     --out PATH    output file (default BENCH_service.json)
-//!
-//! egobtw-cli loadgen --validate PATH [--expect-datasets N] [--expect-scenarios N]
-//!     Schema-check an existing BENCH_service.json (CI smoke); also fails
-//!     on any recorded comparator violation.
-//!
-//! egobtw-cli metrics-check [--connect ADDR] [--requests N] [--seed S]
-//!     With --connect: scrape METRICS twice from a live daemon, schema-
-//!     validate both expositions, and verify every counter series is
-//!     monotone between the scrapes. Without: drive an in-process service
-//!     with N compute-dominated TOPKs (default 64) and verify the
-//!     server-side latency histogram puts p50/p99 within one log2 bucket
-//!     of the client-side timings.
+//! egobtw-cli metrics-check --connect ADDR
+//!     Scrape METRICS twice from a live daemon, schema-validate both
+//!     expositions, and verify every counter series is monotone between
+//!     the scrapes.
 //! ```
+//!
+//! The daemon's latency and throughput are measured by the end-to-end
+//! TCP benchmark in `e2ebench/` (see its README).
 
-use egobtw_service::catalog::Mode;
-use egobtw_service::loadgen::{self, DatasetSpec, ExtraScenarios, LoadgenConfig, MixSpec, Target};
 use egobtw_service::server::{connect_with_retry, roundtrip};
-use egobtw_service::Service;
 use std::io::Read;
 use std::time::Duration;
 
@@ -125,238 +85,87 @@ fn run_script(argv: &[String]) -> i32 {
     i32::from(expect_ok && saw_err)
 }
 
-fn run_loadgen(argv: &[String]) -> i32 {
-    let mut cfg = LoadgenConfig::default();
-    let mut connect: Option<String> = None;
-    let mut out = "BENCH_service.json".to_string();
-    let mut validate_path: Option<String> = None;
-    let mut expect_datasets = 1usize;
-    let mut expect_scenarios = 1usize;
-    let mut specs: Vec<DatasetSpec> = Vec::new();
-    let mut mixes: Vec<MixSpec> = Vec::new();
-    let mut extras = ExtraScenarios::default();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: usize| -> &String {
-            argv.get(i + 1)
-                .unwrap_or_else(|| fail(&format!("{} needs a value", argv[i])))
-        };
-        let parse_or_die = |flag: &str, s: &str| -> f64 {
-            s.parse()
-                .unwrap_or_else(|_| fail(&format!("{flag}: bad number {s:?}")))
-        };
-        match argv[i].as_str() {
-            "--connect" => connect = Some(value(i).clone()),
-            "--threads" => cfg.threads = parse_or_die("--threads", value(i)) as usize,
-            "--ops" => cfg.ops = parse_or_die("--ops", value(i)) as usize,
-            "--write-frac" => cfg.write_frac = parse_or_die("--write-frac", value(i)),
-            "--k" => cfg.k = parse_or_die("--k", value(i)) as usize,
-            "--batch" => cfg.batch = parse_or_die("--batch", value(i)) as usize,
-            "--seed" => cfg.seed = parse_or_die("--seed", value(i)) as u64,
-            "--check" => {
-                cfg.check = true;
-                i += 1;
-                continue;
-            }
-            "--recovery" => {
-                extras.recovery = true;
-                i += 1;
-                continue;
-            }
-            "--skew" => {
-                extras.skew = true;
-                i += 1;
-                continue;
-            }
-            "--overload" => {
-                extras.overload = true;
-                i += 1;
-                continue;
-            }
-            "--tenants" => extras.tenants = parse_or_die("--tenants", value(i)) as usize,
-            "--check-max-n" => cfg.check_max_n = parse_or_die("--check-max-n", value(i)) as usize,
-            "--out" => out = value(i).clone(),
-            "--validate" => validate_path = Some(value(i).clone()),
-            "--expect-datasets" => {
-                expect_datasets = parse_or_die("--expect-datasets", value(i)) as usize
-            }
-            "--expect-scenarios" => {
-                expect_scenarios = parse_or_die("--expect-scenarios", value(i)) as usize
-            }
-            "--mix" => {
-                let spec = value(i);
-                let (name, frac) = spec
-                    .rsplit_once(':')
-                    .unwrap_or_else(|| fail(&format!("--mix {spec:?}: NAME:FRAC")));
-                mixes.push(MixSpec {
-                    name: name.to_string(),
-                    write_frac: parse_or_die("--mix frac", frac),
-                });
-            }
-            "--dataset" => {
-                let spec = value(i);
-                let (name, rest) = spec
-                    .split_once('=')
-                    .unwrap_or_else(|| fail(&format!("--dataset {spec:?}: NAME=PATH[:MODE]")));
-                let (path, mode) = Mode::split_path_mode(rest);
-                let g0 = match egobtw_service::service::read_graph_file(&path) {
-                    Ok(g) => g,
-                    Err(e) => fail(&format!("--dataset {name}: {e}")),
-                };
-                specs.push(DatasetSpec {
-                    name: name.to_string(),
-                    g0,
-                    path: Some(path),
-                    mode,
-                });
-            }
-            "--gen" => {
-                let spec = value(i);
-                let (name, rest) = spec.split_once('=').unwrap_or_else(|| {
-                    fail(&format!("--gen {spec:?}: NAME=FAMILY:SCALE:SEED[:MODE]"))
-                });
-                let parts: Vec<&str> = rest.split(':').collect();
-                if parts.len() < 3 {
-                    fail(&format!("--gen {spec:?}: NAME=FAMILY:SCALE:SEED[:MODE]"));
-                }
-                let family = parts[0];
-                let scale: f64 = parse_or_die("--gen scale", parts[1]);
-                let seed = parse_or_die("--gen seed", parts[2]) as u64;
-                let mode = if parts.len() > 3 {
-                    Mode::parse(&parts[3..].join(":"))
-                        .unwrap_or_else(|e| fail(&format!("--gen {spec:?}: {e}")))
-                } else {
-                    Mode::default()
-                };
-                let g0 = egobtw_gen::synth_family(family, scale, seed)
-                    .unwrap_or_else(|e| fail(&format!("--gen {name}: {e}")));
-                specs.push(DatasetSpec {
-                    name: name.to_string(),
-                    g0,
-                    path: None,
-                    mode,
-                });
-            }
-            other => fail(&format!("loadgen: unknown flag {other:?}")),
-        }
-        i += 2;
-    }
+/// Metric names every healthy daemon must expose (the live-scrape gate).
+const REQUIRED_METRICS: [&str; 8] = [
+    "egobtw_requests_admitted_total",
+    "egobtw_requests_completed_total",
+    "egobtw_requests_cancelled_total",
+    "egobtw_requests_failed_total",
+    "egobtw_request_latency_ns",
+    "egobtw_shed_total",
+    "egobtw_timeouts_total",
+    "egobtw_compute_inflight",
+];
 
-    if let Some(path) = validate_path {
+/// Live-daemon scrape gate: two `METRICS` scrapes over TCP, each parsed
+/// and schema-validated (required families present, histogram buckets
+/// cumulative, `+Inf` == `_count`), plus counter monotonicity between
+/// them — every `_total` series in the first scrape must be ≤ its value
+/// in the second. Returns a human-readable summary line.
+fn metrics_check_live(addr: &str) -> Result<String, String> {
+    use egobtw_telemetry::prometheus::{self, Exposition};
+
+    let scrape = || -> Result<Exposition, String> {
+        let (mut reader, mut writer) = connect_with_retry(addr, Duration::from_secs(10))
+            .map_err(|e| format!("connect {addr}: {e}"))?;
         let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| fail(&format!("read {path:?}: {e}")));
-        let doc = egobtw_bench::json::Json::parse(&text)
-            .unwrap_or_else(|e| fail(&format!("{path:?}: not JSON: {e}")));
-        return match loadgen::validate(&doc, expect_datasets, expect_scenarios) {
-            Ok(()) => {
-                println!(
-                    "{path}: schema OK ({expect_scenarios}+ scenario(s) × {expect_datasets}+ dataset records)"
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("egobtw-cli: {path}: {e}");
-                1
-            }
-        };
-    }
-
-    if specs.is_empty() {
-        fail("loadgen needs --dataset or --gen (or --validate)");
-    }
-    let service_holder;
-    let target = match &connect {
-        Some(addr) => Target::Tcp(addr.clone()),
-        None => {
-            service_holder = Service::new();
-            Target::InProc(&service_holder)
+            roundtrip(&mut reader, &mut writer, "METRICS").map_err(|e| format!("i/o: {e}"))?;
+        let expo = prometheus::parse(&text)?;
+        let violations = expo.validate(&REQUIRED_METRICS);
+        if violations.is_empty() {
+            Ok(expo)
+        } else {
+            Err(format!("exposition invalid: {violations:?}"))
         }
     };
-    match loadgen::run(&target, &cfg, &specs, &mixes, &extras) {
-        Ok(doc) => {
-            let mut text = doc.pretty();
-            text.push('\n');
-            std::fs::write(&out, &text).unwrap_or_else(|e| fail(&format!("write {out:?}: {e}")));
-            let mut violations = 0.0;
-            let mut scenario_count = 0;
-            if let Some(scenarios) = doc.get("scenarios").and_then(|s| s.as_arr()) {
-                scenario_count = scenarios.len();
-                for sc in scenarios {
-                    let Some(datasets) = sc.get("datasets").and_then(|d| d.as_arr()) else {
-                        continue;
-                    };
-                    for ds in datasets {
-                        if let Some(v) = ds
-                            .get("comparator")
-                            .and_then(|c| c.get("violations"))
-                            .and_then(|v| v.as_num())
-                        {
-                            violations += v;
-                        }
-                    }
-                }
-            }
-            println!(
-                "wrote {out} ({scenario_count} scenario(s) over {} dataset(s), {} comparator violation(s))",
-                specs.len(),
-                violations
-            );
-            i32::from(violations > 0.0)
+    let first = scrape()?;
+    let second = scrape()?;
+    let mut series = 0usize;
+    for (name, fam) in &first.families {
+        if fam.kind != "counter" {
+            continue;
         }
-        Err(e) => {
-            eprintln!("egobtw-cli: loadgen: {e}");
-            1
+        for s in &fam.samples {
+            let labels: Vec<(&str, &str)> = s
+                .labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            // A counter can't vanish between scrapes — a missing series
+            // in the second scrape must fail the monotonicity check.
+            let later = second.value(name, &labels)?.unwrap_or(f64::NEG_INFINITY);
+            if later < s.value {
+                return Err(format!(
+                    "{name}{labels:?} went backwards: {} → {later}",
+                    s.value
+                ));
+            }
+            series += 1;
         }
     }
+    let admitted = second
+        .value("egobtw_requests_admitted_total", &[])?
+        .unwrap_or(0.0);
+    Ok(format!(
+        "metrics-check OK: {} families, {series} counter series monotone, admitted={admitted}",
+        second.families.len()
+    ))
 }
 
 fn run_metrics_check(argv: &[String]) -> i32 {
-    let mut connect: Option<String> = None;
-    let mut requests = 64usize;
-    let mut seed = 42u64;
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: usize| -> &String {
-            argv.get(i + 1)
-                .unwrap_or_else(|| fail(&format!("{} needs a value", argv[i])))
-        };
-        match argv[i].as_str() {
-            "--connect" => connect = Some(value(i).clone()),
-            "--requests" => {
-                requests = value(i)
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--requests: bad number {:?}", value(i))))
-            }
-            "--seed" => {
-                seed = value(i)
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("--seed: bad number {:?}", value(i))))
-            }
-            other => fail(&format!("metrics-check: unknown flag {other:?}")),
+    let addr = match argv {
+        [flag, addr] if flag == "--connect" => addr,
+        _ => fail("metrics-check needs --connect ADDR"),
+    };
+    match metrics_check_live(addr) {
+        Ok(summary) => {
+            println!("{summary}");
+            0
         }
-        i += 2;
-    }
-    match connect {
-        Some(addr) => match loadgen::metrics_check_live(&addr) {
-            Ok(summary) => {
-                println!("{summary}");
-                0
-            }
-            Err(e) => {
-                eprintln!("egobtw-cli: metrics-check {addr}: {e}");
-                1
-            }
-        },
-        None => match loadgen::metrics_crosscheck(requests, seed) {
-            Ok(report) => {
-                println!("metrics-check OK: {}", report.pretty());
-                0
-            }
-            Err(e) => {
-                eprintln!("egobtw-cli: metrics-check: {e}");
-                1
-            }
-        },
+        Err(e) => {
+            eprintln!("egobtw-cli: metrics-check {addr}: {e}");
+            1
+        }
     }
 }
 
@@ -364,12 +173,9 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = match argv.first().map(String::as_str) {
         Some("script") => run_script(&argv[1..]),
-        Some("loadgen") => run_loadgen(&argv[1..]),
         Some("metrics-check") => run_metrics_check(&argv[1..]),
         _ => {
-            eprintln!(
-                "usage: egobtw-cli <script|loadgen|metrics-check> [flags] (see --bin source header)"
-            );
+            eprintln!("usage: egobtw-cli <script|metrics-check> [flags] (see --bin source header)");
             2
         }
     };

@@ -140,7 +140,7 @@ impl Mode {
 
     /// Splits a CLI `PATH[:MODE]` spec, trying the longest mode suffix
     /// first (`…:lazy:8` before `…:local`) so paths containing `:` still
-    /// work. Shared by `egobtw-serve --load` and `egobtw-cli --dataset`.
+    /// work. Parses `egobtw-serve --load NAME=PATH[:MODE]`.
     pub fn split_path_mode(rest: &str) -> (String, Mode) {
         let segments: Vec<&str> = rest.split(':').collect();
         for take in [2usize, 1] {

@@ -28,19 +28,14 @@
 //!   torn tails truncate cleanly, and injected crash points let tests
 //!   kill the daemon at the nastiest moments and verify recovery.
 //! * [`service`] — the in-process API: parse → execute → render, shared
-//!   (`&self`) across any number of threads. Tests, examples, and the
-//!   loadgen's in-process mode use this directly and skip sockets.
+//!   (`&self`) across any number of threads. Tests and examples use this
+//!   directly and skip sockets.
 //! * [`proto`] — the wire format: length-prefixed UTF-8 frames, one
 //!   command per line, one response line per command (grammar in
 //!   `docs/ARCHITECTURE.md`).
 //! * [`server`] — the TCP daemon: an acceptor thread feeding a fixed
 //!   worker pool over a channel; each worker owns a connection for its
 //!   lifetime.
-//! * [`loadgen`] — the load-generating client behind `egobtw-cli loadgen`:
-//!   mixed read/update workloads at configurable concurrency, latency
-//!   percentiles into `BENCH_service.json`, and an oracle-checked mode
-//!   that verifies every sampled top-k answer against a from-scratch
-//!   replay of the update stream (zero tolerance, tie-aware).
 //! * [`obs`] — observability wiring: one shared metrics registry spanning
 //!   every layer (scraped by `METRICS` in Prometheus text exposition),
 //!   request-outcome accounting, per-verb latency histograms, per-request
@@ -48,12 +43,12 @@
 //!   `docs/OBSERVABILITY.md`.
 //!
 //! Binaries: `egobtw-serve` (daemon) and `egobtw-cli` (scriptable client
-//! + loadgen). See the README serving quickstart.
+//! and live `METRICS` check). See the README serving quickstart; the
+//! daemon's end-to-end measurements live in `e2ebench/README.md`.
 
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod loadgen;
 pub mod obs;
 pub mod proto;
 pub mod server;
@@ -67,9 +62,6 @@ pub use obs::ServiceMetrics;
 pub use proto::{
     parse_command, read_frame, split_deadline, split_trace, write_frame, Command, MAX_UPDATE_OPS,
 };
-pub use server::{
-    call_with_retry, connect_with_retry, is_retryable_response, roundtrip, RetryPolicy, Server,
-    ServerConfig,
-};
+pub use server::{connect_with_retry, roundtrip, Server, ServerConfig};
 pub use service::{OverloadState, Reply, Service, SHED_RETRY_MS};
 pub use wal::{FsyncPolicy, PersistConfig};

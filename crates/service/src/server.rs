@@ -418,90 +418,3 @@ pub fn connect_with_retry(
         }
     }
 }
-
-/// Jittered exponential backoff for retrying shed (`ERR busy`), draining,
-/// or transport-failed requests. Deterministic for a given `seed`, so
-/// tests and the seeded chaos harness replay identically.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts, the first included.
-    pub attempts: u32,
-    /// Backoff before the first retry; doubles per retry after that.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-    /// Jitter seed.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 6,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(500),
-            seed: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The sleep before retry number `retry` (0-based): exponential with
-    /// full jitter over the upper half of the window, capped at
-    /// [`RetryPolicy::cap`].
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32.checked_shl(retry.min(20)).unwrap_or(u32::MAX));
-        let window = exp.min(self.cap).max(Duration::from_millis(1));
-        let mut x = self
-            .seed
-            .wrapping_add(u64::from(retry) + 1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        x ^= x >> 33;
-        let nanos = window.as_nanos() as u64;
-        Duration::from_nanos(nanos / 2 + x % (nanos / 2 + 1))
-    }
-}
-
-/// Whether a response line tells the client to back off and try again
-/// (load shed or drain refusal — *not* ordinary command errors).
-pub fn is_retryable_response(response: &str) -> bool {
-    response
-        .lines()
-        .any(|l| l.starts_with("ERR busy") || l.starts_with("ERR draining"))
-}
-
-/// One payload, retried under `policy`: reconnects per attempt (the shed
-/// path closes the connection) and backs off on transport errors and
-/// `ERR busy` / `ERR draining` refusals.
-///
-/// Safe to call with read-only payloads unconditionally. A payload with
-/// an `UPDATE` is only retry-safe if the command carries a `seq=` token —
-/// the refusal may race the ack, and without the token a replayed batch
-/// would double-apply.
-pub fn call_with_retry(addr: &str, payload: &str, policy: &RetryPolicy) -> std::io::Result<String> {
-    let mut last_err = std::io::Error::other("no attempts configured");
-    let mut last_refusal: Option<String> = None;
-    for attempt in 0..policy.attempts.max(1) {
-        if attempt > 0 {
-            std::thread::sleep(policy.backoff(attempt - 1));
-        }
-        match connect_with_retry(addr, Duration::from_secs(1)) {
-            Ok((mut reader, mut writer)) => match roundtrip(&mut reader, &mut writer, payload) {
-                Ok(resp) if is_retryable_response(&resp) => last_refusal = Some(resp),
-                Ok(resp) => return Ok(resp),
-                Err(e) => last_err = e,
-            },
-            Err(e) => last_err = e,
-        }
-    }
-    // Out of attempts: a final explicit refusal beats a transport error —
-    // the caller sees exactly what the server said.
-    match last_refusal {
-        Some(resp) => Ok(resp),
-        None => Err(last_err),
-    }
-}

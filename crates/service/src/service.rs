@@ -1,9 +1,8 @@
 //! In-process query API: parse → execute → render.
 //!
-//! [`Service`] is the protocol-agnostic core the TCP server, the CLI's
-//! in-process loadgen mode, tests, and examples all share. It is `&self`
-//! throughout and internally synchronized, so one `Arc<Service>` serves
-//! any number of threads.
+//! [`Service`] is the protocol-agnostic core the TCP server, tests, and
+//! examples all share. It is `&self` throughout and internally
+//! synchronized, so one `Arc<Service>` serves any number of threads.
 //!
 //! Per-request **engine selection**: a `TOPK` request either names a
 //! registry engine (any [`egobtw_core::builtin_engines`] name, run on the
@@ -39,8 +38,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a `TOPK auto` answer came from (reported on the wire so clients,
-/// tests, and the loadgen can assert cache/maintained behavior).
+/// Where a `TOPK auto` answer came from (reported on the wire so clients
+/// and tests can assert cache/maintained behavior).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TopkSource {
     /// Served from the snapshot's published maintained entries.
@@ -357,11 +356,6 @@ pub fn read_graph_file_sniffed(path: &str) -> Result<(CsrGraph, bool), String> {
     Ok((g, is_snapshot))
 }
 
-/// [`read_graph_file_sniffed`] without the format flag.
-pub fn read_graph_file(path: &str) -> Result<CsrGraph, String> {
-    read_graph_file_sniffed(path).map(|(g, _)| g)
-}
-
 /// Suggested client back-off carried in a load-shed `ERR busy` reply.
 pub const SHED_RETRY_MS: u64 = 50;
 
@@ -515,7 +509,7 @@ impl Service {
     }
 
     /// Registers an in-memory graph, skipping the filesystem — the path
-    /// tests, examples, and in-process loadgen use.
+    /// tests and examples use.
     pub fn load_graph(&self, name: &str, g: CsrGraph, mode: Mode) -> Result<Reply, String> {
         let (n, m) = (g.n(), g.m());
         self.catalog.insert(name, g, mode)?;

@@ -4,7 +4,7 @@
 //! work while refusing queued work, and `shutdown` joins every thread.
 
 use egobtw_service::server::{connect_with_retry, roundtrip};
-use egobtw_service::{RetryPolicy, Server, ServerConfig, Service, MAX_UPDATE_OPS, SHED_RETRY_MS};
+use egobtw_service::{Server, ServerConfig, Service, MAX_UPDATE_OPS, SHED_RETRY_MS};
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -246,27 +246,4 @@ fn shutdown_closes_the_listener() {
             "a drained server must not serve new sessions"
         );
     }
-}
-
-/// The retry policy is deterministic (seeded jitter) and bounded by its
-/// cap — the property the chaos harness's replayability rests on.
-#[test]
-fn retry_backoff_is_deterministic_and_capped() {
-    let policy = RetryPolicy::default();
-    for retry in 0..8 {
-        let a = policy.backoff(retry);
-        let b = policy.backoff(retry);
-        assert_eq!(a, b, "same retry must sleep the same");
-        assert!(a <= policy.cap, "retry {retry} slept {a:?} past the cap");
-        assert!(a >= Duration::from_nanos(1));
-    }
-    let other = RetryPolicy {
-        seed: 1,
-        ..RetryPolicy::default()
-    };
-    assert_ne!(
-        (0..8).map(|r| policy.backoff(r)).collect::<Vec<_>>(),
-        (0..8).map(|r| other.backoff(r)).collect::<Vec<_>>(),
-        "different seeds must jitter differently"
-    );
 }

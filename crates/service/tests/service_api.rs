@@ -515,7 +515,7 @@ fn path_shaped_dataset_names_are_rejected_at_the_api_edge() {
             .unwrap_err();
         assert!(err.contains("bad dataset name"), "{bad:?}: {err}");
     }
-    // The loadgen's scenario-mangled names must stay legal.
+    // Names mixing dashes, dots and underscores stay legal.
     service
         .load_graph(
             "karate--update-heavy.v1_x",

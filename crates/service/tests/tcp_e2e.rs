@@ -1,11 +1,25 @@
 //! End-to-end TCP tests: real sockets on an OS-assigned port.
 
+use conformance::{check_topk, REL_TOL};
+use egobtw_core::naive::ego_betweenness_reference;
+use egobtw_dynamic::{replay_graph, EdgeOp};
 use egobtw_gen::classic;
+use egobtw_graph::VertexId;
 use egobtw_service::catalog::Mode;
+use egobtw_service::proto::parse_entries;
 use egobtw_service::server::{connect_with_retry, roundtrip, Server};
 use egobtw_service::Service;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The value of `key=` in a reply line.
+fn field<'r>(reply: &'r str, key: &str) -> &'r str {
+    reply
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= in {reply:?}"))
+}
 
 fn start(threads: usize) -> (Arc<Service>, Server) {
     let service = Arc::new(Service::new());
@@ -76,12 +90,17 @@ fn errors_keep_the_connection_usable() {
 
 #[test]
 fn concurrent_clients_see_consistent_epochs() {
-    // 4 readers hammer TOPK while the main thread applies updates; every
-    // response must be internally consistent (the epoch it cites is a
-    // published one) and the server must survive the concurrency.
+    // 4 readers hammer TOPK while the main thread applies updates. Every
+    // response must cite a published epoch, epochs must be monotone per
+    // connection, and — checked after the join — every answer must be
+    // the exact top-k of the graph at the epoch it cites: the update
+    // stream replayed to that epoch, scored by the reference definition
+    // and compared tie-aware. A stale, torn or cache-leaked answer fails.
+    const K: usize = 5;
     let (service, server) = start(6);
+    let g0 = egobtw_gen::gnp(40, 0.15, 7);
     service
-        .load_graph("g", egobtw_gen::gnp(40, 0.15, 7), Mode::default())
+        .load_graph("g", g0.clone(), Mode::default())
         .unwrap();
     let addr = server.local_addr().to_string();
 
@@ -91,29 +110,29 @@ fn concurrent_clients_see_consistent_epochs() {
             std::thread::spawn(move || {
                 let (mut reader, mut writer) =
                     connect_with_retry(&addr, Duration::from_secs(5)).expect("connect");
+                let mut replies = Vec::with_capacity(50);
                 let mut last_epoch = 0u64;
                 for _ in 0..50 {
-                    let response =
-                        roundtrip(&mut reader, &mut writer, "TOPK g 5").expect("roundtrip");
+                    let response = roundtrip(&mut reader, &mut writer, &format!("TOPK g {K}"))
+                        .expect("roundtrip");
                     assert!(response.starts_with("OK top"), "{response}");
-                    let epoch: u64 = response
-                        .split_whitespace()
-                        .find_map(|t| t.strip_prefix("epoch="))
-                        .unwrap()
-                        .parse()
-                        .unwrap();
+                    let epoch: u64 = field(&response, "epoch").parse().unwrap();
                     // Epochs are monotone per connection: a reader can see
                     // a newer snapshot, never an older one again.
                     assert!(epoch >= last_epoch, "epoch went backwards");
                     last_epoch = epoch;
+                    replies.push((epoch, parse_entries(field(&response, "entries")).unwrap()));
                 }
-                last_epoch
+                replies
             })
         })
         .collect();
 
     let (mut reader, mut writer) =
         connect_with_retry(&addr, Duration::from_secs(5)).expect("connect");
+    let mut ops = Vec::new();
+    // Published epoch → length of the op prefix it reflects.
+    let mut prefix_at: HashMap<u64, usize> = HashMap::from([(0, 0)]);
     for i in 0..20u32 {
         let (u, v) = (i % 40, (i * 7 + 1) % 40);
         if u == v {
@@ -121,10 +140,27 @@ fn concurrent_clients_see_consistent_epochs() {
         }
         let response = roundtrip(&mut reader, &mut writer, &format!("UPDATE g +{u},{v}")).unwrap();
         assert!(response.starts_with("OK update"), "{response}");
+        ops.push(EdgeOp::Insert(u, v));
+        prefix_at.insert(field(&response, "epoch").parse().unwrap(), ops.len());
     }
-    for handle in readers {
-        handle.join().expect("reader thread panicked");
-    }
+    let replies: Vec<_> = readers
+        .into_iter()
+        .flat_map(|handle| handle.join().expect("reader thread panicked"))
+        .collect();
     drop((reader, writer));
     server.shutdown();
+
+    let mut truth_at: HashMap<u64, Vec<f64>> = HashMap::new();
+    for (epoch, entries) in &replies {
+        let prefix = *prefix_at
+            .get(epoch)
+            .unwrap_or_else(|| panic!("answer cites unpublished epoch {epoch}"));
+        let truth = truth_at.entry(*epoch).or_insert_with(|| {
+            let g = replay_graph(&g0, &ops[..prefix]).to_csr();
+            (0..g.n() as VertexId)
+                .map(|v| ego_betweenness_reference(&g, v))
+                .collect()
+        });
+        check_topk(truth, entries, K, REL_TOL).unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
+    }
 }

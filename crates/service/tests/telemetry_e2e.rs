@@ -232,3 +232,57 @@ fn stats_reports_search_work_totals() {
         .unwrap_or_else(|| panic!("{after}"));
     assert!(exact > 0, "compute_all touches every ego: {after}");
 }
+
+/// Histogram crosscheck: compute-dominated `TOPK`s, timed client-side,
+/// against the server's `TOPK` latency histogram from `METRICS`. The two
+/// views of the same requests must put p50 and p99 within one log2
+/// bucket of each other.
+#[test]
+fn latency_histogram_agrees_with_client_timings_within_one_bucket() {
+    use egobtw_telemetry::{bucket_index, percentile_sorted};
+    use std::time::Instant;
+
+    const REQUESTS: usize = 64;
+    let service = Service::new();
+    service
+        .load_graph("xcheck", egobtw_gen::gnp(160, 0.08, 42), Mode::default())
+        .unwrap();
+    // A distinct k per request so none hits the per-epoch cache: a
+    // fast-hit/slow-miss bimodal distribution would let an interpolated
+    // client percentile land between the two modes while the server's
+    // closest-rank bucket sticks to one of them.
+    let mut client_ns: Vec<u64> = (1..=REQUESTS)
+        .map(|k| {
+            let t0 = Instant::now();
+            let reply = service.handle_line(&format!("TOPK xcheck {k} core::compute_all"));
+            let ns = t0.elapsed().as_nanos() as u64;
+            assert!(reply.starts_with("OK "), "{reply}");
+            ns
+        })
+        .collect();
+    client_ns.sort_unstable();
+
+    let expo = prometheus::parse(&service.handle_line("METRICS")).expect("METRICS must parse");
+    let violations = expo.validate(&[
+        "egobtw_request_latency_ns",
+        "egobtw_requests_admitted_total",
+    ]);
+    assert!(violations.is_empty(), "{violations:?}");
+    let server = expo
+        .histogram("egobtw_request_latency_ns", &[("verb", "TOPK")])
+        .expect("server-side TOPK latency series");
+    assert_eq!(
+        server.count, REQUESTS as u64,
+        "server and client TOPK counts"
+    );
+
+    for (label, q) in [("p50", 0.50), ("p99", 0.99)] {
+        let client = percentile_sorted(&client_ns, q).unwrap() as u64;
+        let server_le = server.quantile(q).expect("non-empty server histogram");
+        let (cb, sb) = (bucket_index(client), bucket_index(server_le));
+        assert!(
+            cb.abs_diff(sb) <= 1,
+            "{label}: client {client}ns (bucket {cb}) vs server ≤{server_le}ns (bucket {sb})"
+        );
+    }
+}

@@ -17,7 +17,7 @@ fn row(label: char, got: f64, paper: &str) {
 fn main() {
     let g = toy::paper_graph();
     println!(
-        "Fig. 1(a) graph reconstructed: n={} m={} (see DESIGN.md for the derivation)",
+        "Fig. 1(a) graph reconstructed: n={} m={} (derivation in egobtw_gen::toy)",
         g.n(),
         g.m()
     );
