@@ -21,7 +21,8 @@ use crate::intersect::{
     KernelParams,
 };
 use crate::pair::pack_pair;
-use crate::VertexId;
+use crate::{DynGraph, VertexId};
+use std::sync::Arc;
 
 /// How [`CsrGraph`] chooses which vertices get packed bitmap rows.
 ///
@@ -89,104 +90,134 @@ impl Default for HybridConfig {
     }
 }
 
+/// The hub degree threshold `cfg` picks for a CSR with these offsets: the
+/// smallest `t ≥ min_hub_degree` such that a row for *every* vertex of
+/// degree `≥ t` fits the memory budget. Returns it with the number of
+/// vertices at or above it; `None` when no vertex qualifies.
+///
+/// The one copy of the rule: a fresh build and an epoch patch
+/// ([`CsrGraph::patched`]) must pick the same threshold for the same
+/// degrees, or a patched graph would differ from its rebuild.
+fn hub_threshold(offsets: &[usize], cfg: &HybridConfig) -> Option<(usize, usize)> {
+    let n = offsets.len() - 1;
+    let m = offsets[n] / 2;
+    if !cfg.enabled || n == 0 {
+        return None;
+    }
+    let words_per_row = n.div_ceil(64);
+    // Small constant allowance so a tiny graph with one genuine hub
+    // (e.g. a star) still gets its row under a per-edge budget.
+    let budget_words = m
+        .saturating_mul(cfg.budget_words_per_edge)
+        .saturating_add(8 * words_per_row);
+    let degree = |u: usize| offsets[u + 1] - offsets[u];
+    let d_max = (0..n).map(degree).max().unwrap_or(0);
+    let floor = cfg.min_hub_degree.max(1);
+    if d_max < floor {
+        return None;
+    }
+    // count_ge[d] = #vertices with degree ≥ d; smallest affordable
+    // threshold ≥ floor wins.
+    let mut count_ge = vec![0usize; d_max + 2];
+    for u in 0..n {
+        count_ge[degree(u)] += 1;
+    }
+    for d in (0..=d_max).rev() {
+        count_ge[d] += count_ge[d + 1];
+    }
+    let mut threshold = floor;
+    while threshold <= d_max && count_ge[threshold].saturating_mul(words_per_row) > budget_words {
+        threshold += 1;
+    }
+    (threshold <= d_max).then(|| (threshold, count_ge[threshold]))
+}
+
 /// Packed bitmap rows for the hub vertices (see [`HybridConfig`]).
 #[derive(Clone, Debug)]
 struct HubBitmaps {
+    /// The policy the rows were chosen under; a patch reuses it.
+    cfg: HybridConfig,
     /// Degree threshold actually chosen; `usize::MAX` when no rows exist.
     threshold: usize,
     /// `⌈n/64⌉`, the length of each row.
     words_per_row: usize,
-    /// Row index per vertex (`u32::MAX` = no row); empty when no rows.
+    /// Row slot per vertex (`u32::MAX` = no row); empty when no rows.
     row_of: Box<[u32]>,
-    /// Concatenated rows.
-    words: Box<[u64]>,
+    /// One separately shared row per hub, indexed by `row_of`. A patched
+    /// epoch shares the rows of its untouched hubs with its base.
+    rows: Box<[Arc<[u64]>]>,
 }
 
 impl HubBitmaps {
-    fn none() -> Self {
+    fn none(cfg: &HybridConfig) -> Self {
         HubBitmaps {
+            cfg: *cfg,
             threshold: usize::MAX,
             words_per_row: 0,
             row_of: Box::new([]),
-            words: Box::new([]),
+            rows: Box::new([]),
         }
     }
 
     /// Picks the threshold and packs the rows for an already-built CSR.
     fn build(offsets: &[usize], adj: &[VertexId], cfg: &HybridConfig) -> Self {
+        Self::build_sharing(offsets, adj, cfg, |_| None)
+    }
+
+    /// [`HubBitmaps::build`], taking each hub's row from `shared` where it
+    /// offers one (the caller vouches that it holds exactly the hub's
+    /// adjacency at `⌈n/64⌉` words) and packing the rest from `adj`.
+    fn build_sharing(
+        offsets: &[usize],
+        adj: &[VertexId],
+        cfg: &HybridConfig,
+        shared: impl Fn(usize) -> Option<Arc<[u64]>>,
+    ) -> Self {
+        let Some((threshold, hubs)) = hub_threshold(offsets, cfg) else {
+            return HubBitmaps::none(cfg);
+        };
         let n = offsets.len() - 1;
-        let m = adj.len() / 2;
-        if !cfg.enabled || n == 0 {
-            return HubBitmaps::none();
-        }
         let words_per_row = n.div_ceil(64);
-        // Small constant allowance so a tiny graph with one genuine hub
-        // (e.g. a star) still gets its row under a per-edge budget.
-        let budget_words = m
-            .saturating_mul(cfg.budget_words_per_edge)
-            .saturating_add(8 * words_per_row);
-        let degree = |u: usize| offsets[u + 1] - offsets[u];
-        let d_max = (0..n).map(degree).max().unwrap_or(0);
-        let floor = cfg.min_hub_degree.max(1);
-        if d_max < floor {
-            return HubBitmaps::none();
-        }
-        // count_ge[d] = #vertices with degree ≥ d; smallest affordable
-        // threshold ≥ floor wins.
-        let mut count_ge = vec![0usize; d_max + 2];
-        for u in 0..n {
-            count_ge[degree(u)] += 1;
-        }
-        for d in (0..=d_max).rev() {
-            count_ge[d] += count_ge[d + 1];
-        }
-        let mut threshold = floor;
-        while threshold <= d_max && count_ge[threshold].saturating_mul(words_per_row) > budget_words
-        {
-            threshold += 1;
-        }
-        if threshold > d_max {
-            return HubBitmaps::none();
-        }
-        let hubs = count_ge[threshold];
         let mut row_of = vec![u32::MAX; n];
-        let mut words = vec![0u64; hubs * words_per_row];
-        let mut next_row = 0u32;
+        let mut rows = Vec::with_capacity(hubs);
         for u in 0..n {
-            if degree(u) >= threshold {
-                let base = next_row as usize * words_per_row;
-                for &v in &adj[offsets[u]..offsets[u + 1]] {
-                    words[base + (v as usize >> 6)] |= 1u64 << (v & 63);
-                }
-                row_of[u] = next_row;
-                next_row += 1;
+            let ns = &adj[offsets[u]..offsets[u + 1]];
+            if ns.len() >= threshold {
+                row_of[u] = rows.len() as u32;
+                rows.push(shared(u).unwrap_or_else(|| pack_row(ns, words_per_row)));
             }
         }
         HubBitmaps {
+            cfg: *cfg,
             threshold,
             words_per_row,
             row_of: row_of.into_boxed_slice(),
-            words: words.into_boxed_slice(),
+            rows: rows.into_boxed_slice(),
         }
+    }
+
+    /// The shared row of `u`, if it is a hub.
+    #[inline]
+    fn row_arc(&self, u: VertexId) -> Option<&Arc<[u64]>> {
+        let slot = *self.row_of.get(u as usize)?;
+        self.rows.get(slot as usize)
     }
 
     /// The bitmap row of `u`, if it is a hub.
     #[inline]
     fn row(&self, u: VertexId) -> Option<&[u64]> {
-        let slot = *self.row_of.get(u as usize)?;
-        if slot == u32::MAX {
-            return None;
-        }
-        let base = slot as usize * self.words_per_row;
-        Some(&self.words[base..base + self.words_per_row])
+        self.row_arc(u).map(|r| &**r)
     }
+}
 
-    fn row_count(&self) -> usize {
-        self.words
-            .len()
-            .checked_div(self.words_per_row)
-            .unwrap_or(0)
+/// One hub row: bit `v` of word `v / 64` set for each neighbor `v`.
+fn pack_row(ns: &[VertexId], words_per_row: usize) -> Arc<[u64]> {
+    let mut row: Arc<[u64]> = std::iter::repeat_n(0u64, words_per_row).collect();
+    let words = Arc::get_mut(&mut row).expect("fresh row is unshared");
+    for &v in ns {
+        words[v as usize >> 6] |= 1u64 << (v & 63);
     }
+    row
 }
 
 /// The kernel chosen for one common-neighbor query, borrowing the inputs
@@ -369,6 +400,70 @@ impl CsrGraph {
         g
     }
 
+    /// The CSR of `dg` built by patching `base`, a CSR of an earlier state
+    /// of it: the rows of `touched` and of every vertex `≥ base.n()` come
+    /// from `dg`; every other row is copied from `base` in contiguous
+    /// spans, and offsets are rebuilt in one pass. The hub threshold is
+    /// re-picked under `base`'s policy; untouched hubs share their row
+    /// with `base`, so only touched hubs and vertices crossing the
+    /// threshold pack a fresh one.
+    ///
+    /// `touched` must be strictly increasing and hold both endpoints of
+    /// every edge that differs between `base` and `dg`; debug builds
+    /// validate the result.
+    pub(crate) fn patched(base: &CsrGraph, dg: &DynGraph, touched: &[VertexId]) -> CsrGraph {
+        let (base_n, n) = (base.n(), dg.n());
+        assert!(n >= base_n, "a patch cannot drop vertices ({base_n} → {n})");
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
+        let replaced = || touched.iter().map(|&t| t as usize).filter(|&t| t < base_n);
+        // Exact length up front: shrinking an over-allocated array on
+        // every publish fragments the heap of a long-running writer.
+        let dropped: usize = replaced().map(|t| base.degree(t as VertexId)).sum();
+        let filled: usize = replaced()
+            .chain(base_n..n)
+            .map(|u| dg.degree(u as VertexId))
+            .sum();
+        let len = base.adj.len() - dropped + filled;
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        let mut adj: Vec<VertexId> = Vec::with_capacity(len);
+        // Untouched rows from..to of `base`, shifted to where they land.
+        let copy_span = |offsets: &mut Vec<usize>, adj: &mut Vec<VertexId>, from: usize, to| {
+            if from >= to {
+                return;
+            }
+            let (lo, hi) = (base.offsets[from], base.offsets[to]);
+            let start = adj.len();
+            adj.extend_from_slice(&base.adj[lo..hi]);
+            offsets.extend(base.offsets[from + 1..=to].iter().map(|&o| o - lo + start));
+        };
+        let mut row = Vec::new();
+        let mut next = 0usize;
+        for u in replaced().chain(base_n..n) {
+            copy_span(&mut offsets, &mut adj, next, u);
+            dg.sorted_neighbors_into(u as VertexId, &mut row);
+            adj.extend_from_slice(&row);
+            offsets.push(adj.len());
+            next = u + 1;
+        }
+        copy_span(&mut offsets, &mut adj, next, base_n);
+        debug_assert_eq!(adj.len(), len);
+        let words_per_row = n.div_ceil(64);
+        let hubs = HubBitmaps::build_sharing(&offsets, &adj, &base.hubs.cfg, |u| {
+            let untouched = u < base_n && touched.binary_search(&(u as VertexId)).is_err();
+            (untouched && base.hubs.words_per_row == words_per_row)
+                .then(|| base.hubs.row_arc(u as VertexId).cloned())
+                .flatten()
+        });
+        let g = CsrGraph {
+            offsets: offsets.into_boxed_slice(),
+            adj: adj.into_boxed_slice(),
+            hubs,
+        };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
     /// The auto-chosen hub degree threshold, if any bitmap rows exist.
     pub fn hub_threshold(&self) -> Option<usize> {
         (self.hubs.threshold != usize::MAX).then_some(self.hubs.threshold)
@@ -376,7 +471,7 @@ impl CsrGraph {
 
     /// Number of vertices carrying a bitmap row.
     pub fn hub_count(&self) -> usize {
-        self.hubs.row_count()
+        self.hubs.rows.len()
     }
 
     /// The packed bitmap row of `u` (bit `v` of word `v / 64`), if `u` is
@@ -526,8 +621,8 @@ impl CsrGraph {
         let n = self.n();
         let h = &self.hubs;
         if h.row_of.is_empty() {
-            if !h.words.is_empty() {
-                return Err("hub words without row index".into());
+            if !h.rows.is_empty() {
+                return Err("hub rows without row index".into());
             }
             return Ok(());
         }
@@ -552,6 +647,13 @@ impl CsrGraph {
                 ));
             }
             if let Some(row) = row {
+                if row.len() != h.words_per_row {
+                    return Err(format!(
+                        "hub row of {u} has {} words, expected {}",
+                        row.len(),
+                        h.words_per_row
+                    ));
+                }
                 let mut decoded = Vec::with_capacity(self.degree(u));
                 for (i, &w) in row.iter().enumerate() {
                     let mut w = w;
@@ -786,13 +888,13 @@ mod tests {
         let asym = CsrGraph {
             offsets: vec![0usize, 1, 1].into_boxed_slice(),
             adj: vec![1 as VertexId].into_boxed_slice(),
-            hubs: HubBitmaps::none(),
+            hubs: HubBitmaps::none(&HybridConfig::new()),
         };
         assert!(asym.validate().unwrap_err().contains("odd total degree"));
         let unsorted = CsrGraph {
             offsets: vec![0usize, 2, 3, 4].into_boxed_slice(),
             adj: vec![2 as VertexId, 1, 0, 0].into_boxed_slice(),
-            hubs: HubBitmaps::none(),
+            hubs: HubBitmaps::none(&HybridConfig::new()),
         };
         assert!(unsorted
             .validate()
@@ -801,7 +903,7 @@ mod tests {
         let self_loop = CsrGraph {
             offsets: vec![0usize, 2, 4].into_boxed_slice(),
             adj: vec![0 as VertexId, 1, 0, 1].into_boxed_slice(),
-            hubs: HubBitmaps::none(),
+            hubs: HubBitmaps::none(&HybridConfig::new()),
         };
         assert!(self_loop.validate().unwrap_err().contains("self-loop"));
     }
@@ -813,7 +915,9 @@ mod tests {
         assert!(g.hub_count() > 0);
         assert_eq!(g.validate(), Ok(()));
         // Flip a bit in vertex 0's row: adjacency and bitmap now disagree.
-        g.hubs.words[0] ^= 1u64 << 3;
+        let mut row = g.hubs.rows[0].to_vec();
+        row[0] ^= 1u64 << 3;
+        g.hubs.rows[0] = row.into();
         assert!(g.validate().unwrap_err().contains("disagrees"));
     }
 

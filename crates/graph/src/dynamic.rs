@@ -48,6 +48,24 @@ impl DynGraph {
         CsrGraph::from_edges(self.n(), &edges)
     }
 
+    /// Freezes by patching `base`, a CSR of an earlier state of this
+    /// graph: the rows of `touched` (in any order, duplicates allowed) and
+    /// of vertices added since `base` come from `self`, every other row
+    /// and every untouched hub bitmap row is taken from `base`, under
+    /// `base`'s hub policy. Costs `O(n)` for the offsets plus a copy of
+    /// the adjacency array, instead of [`DynGraph::to_csr`]'s hash, sort
+    /// and repack of all `m` edges.
+    ///
+    /// `touched` must contain both endpoints of every edge that differs
+    /// between `base` and `self`; the result then equals `to_csr()`
+    /// rebuilt under the hub policy `base` was built with.
+    pub fn refreeze(&self, base: &CsrGraph, touched: &[VertexId]) -> CsrGraph {
+        let mut touched = touched.to_vec();
+        touched.sort_unstable();
+        touched.dedup();
+        CsrGraph::patched(base, self, &touched)
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn n(&self) -> usize {

@@ -33,7 +33,8 @@
 //!
 //! Prints one `recovered <name> …` line per rebuilt dataset, then one
 //! `listening on <addr>` line once the socket is bound (CI and scripts
-//! wait for it), then serves until killed. On SIGTERM (or SIGINT) it
+//! wait for it; the same moment is logged as an info `listening` event on
+//! stderr), then serves until killed. On SIGTERM (or SIGINT) it
 //! drains: stops accepting, finishes or cancels in-flight work within
 //! `--drain-grace`, fsyncs every WAL, and exits 0.
 
@@ -280,6 +281,13 @@ fn main() {
         "listening on {} (threads={})",
         server.local_addr(),
         args.threads
+    );
+    log.info(
+        "listening",
+        &[
+            ("addr", &server.local_addr().to_string()),
+            ("threads", &args.threads.to_string()),
+        ],
     );
     // Kill-and-replay tests read this line through a pipe; without the
     // flush it sits in the block buffer until the process dies.

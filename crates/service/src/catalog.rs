@@ -5,8 +5,9 @@
 //!
 //! * the **writer** — a dynamic maintainer ([`LocalIndex`] or
 //!   [`LazyTopK`]) behind a `Mutex`, owning the mutable graph. Update
-//!   batches go through the maintainer's incremental path, then a fresh
-//!   immutable CSR snapshot is built and published;
+//!   batches go through the maintainer's incremental path, then the
+//!   previous epoch's CSR is patched at the rows the batch touched
+//!   ([`DynGraph::refreeze`]) and published as the next snapshot;
 //! * the **reader** — an `RwLock<Arc<EpochSnapshot>>` holding the current
 //!   epoch. Readers clone the `Arc` under a momentary read lock and then
 //!   work entirely on immutable data, so a slow query never sees a
@@ -51,14 +52,15 @@ use crate::wal::{self, crash, PersistConfig, Wal, WalMetrics, WalRecord, WAL_FIL
 use egobtw_core::registry::topk_from_scores;
 use egobtw_dynamic::{DeltaIndex, EdgeOp, LazyTopK, LocalIndex};
 use egobtw_graph::io::fnv1a64;
-use egobtw_graph::{CsrGraph, FxHashMap, VertexId};
-use egobtw_telemetry::{Counter, Gauge, Registry};
+use egobtw_graph::{CsrGraph, DynGraph, FxHashMap, VertexId};
+use egobtw_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::collections::HashMap;
 use std::fs;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// How many maintained entries a [`Mode::Local`] dataset publishes into
 /// each snapshot (requests with `k` at most this are answered without
@@ -387,11 +389,11 @@ impl Maintainer {
         }
     }
 
-    fn to_csr(&self) -> CsrGraph {
+    fn graph(&self) -> &DynGraph {
         match self {
-            Maintainer::Local(li) => li.graph().to_csr(),
-            Maintainer::Lazy(lz) => lz.graph().to_csr(),
-            Maintainer::Delta(di) => di.graph().to_csr(),
+            Maintainer::Local(li) => li.graph(),
+            Maintainer::Lazy(lz) => lz.graph(),
+            Maintainer::Delta(di) => di.graph(),
         }
     }
 }
@@ -505,6 +507,13 @@ pub struct DatasetMetrics {
     pub compactions: Arc<Counter>,
     /// WAL append/fsync counters handed to the dataset's [`Wal`].
     pub wal: WalMetrics,
+    /// Per-batch time in the maintainer's apply loop (ns).
+    pub update_apply: Arc<Histogram>,
+    /// Per-batch WAL append, fsync included (ns); durable datasets only.
+    pub update_wal: Arc<Histogram>,
+    /// Per-batch epoch publish: graph patch, maintained read-off and
+    /// pointer swap (ns).
+    pub update_publish: Arc<Histogram>,
 }
 
 impl DatasetMetrics {
@@ -513,6 +522,13 @@ impl DatasetMetrics {
         let shard = shard.to_string();
         let labels: &[(&str, &str)] = &[("dataset", dataset), ("shard", &shard)];
         let counter = |name, help: &str| registry.counter(name, help, labels);
+        let phase = |phase| {
+            registry.histogram(
+                "egobtw_update_phase_ns",
+                "UPDATE batch time by phase in nanoseconds: maintainer apply, WAL append + fsync, epoch publish.",
+                &[("dataset", dataset), ("shard", &shard), ("phase", phase)],
+            )
+        };
         DatasetMetrics {
             cache_hits: counter(
                 "egobtw_cache_hits_total",
@@ -560,6 +576,9 @@ impl DatasetMetrics {
                 appends: counter("egobtw_wal_appends_total", "WAL records appended."),
                 fsyncs: counter("egobtw_wal_fsyncs_total", "Explicit WAL data syncs."),
             },
+            update_apply: phase("apply"),
+            update_wal: phase("wal"),
+            update_publish: phase("publish"),
         }
     }
 }
@@ -640,9 +659,8 @@ impl Dataset {
         let (records, wal_handle, torn_tail) = Wal::recover(&dir.join(WAL_FILE), cfg.fsync)
             .map_err(|e| format!("recover WAL in {dir:?}: {e}"))?;
         let (mut maintainer, _, _) = Maintainer::build(&g, mode);
-        let n = maintainer.n();
         let mut epoch = snapshot_epoch;
-        let mut ops_applied = 0u64;
+        let mut touched = Vec::new();
         let mut replayed = 0usize;
         for rec in &records {
             if rec.epoch <= snapshot_epoch {
@@ -651,18 +669,12 @@ impl Dataset {
             if rec.epoch != epoch + 1 {
                 break; // an epoch gap means the tail is not trustworthy
             }
-            for &op in &rec.ops {
-                let (u, v) = op.endpoints();
-                if (u as usize) >= n || (v as usize) >= n {
-                    continue;
-                }
-                if maintainer.apply(op) {
-                    ops_applied += 1;
-                }
-            }
+            touched.extend(apply_ops(&mut maintainer, &rec.ops));
             epoch = rec.epoch;
             replayed += 1;
         }
+        let ops_applied = touched.len() as u64 / 2;
+        let graph = Arc::new(maintainer.graph().refreeze(&g, &touched));
         let mut writer = Writer {
             maintainer,
             epoch,
@@ -674,7 +686,7 @@ impl Dataset {
             }),
             last_seq: None,
         };
-        let snapshot = Self::build_snapshot(mode, &mut writer);
+        let snapshot = Self::build_snapshot(mode, &mut writer, graph);
         let ds = Dataset {
             name: name.to_string(),
             mode,
@@ -802,19 +814,13 @@ impl Dataset {
                 ));
             }
         }
-        let n = w.maintainer.n();
-        let mut applied = 0usize;
-        for &op in ops {
-            let (u, v) = op.endpoints();
-            if (u as usize) >= n || (v as usize) >= n {
-                continue; // skipped: out of range
-            }
-            if w.maintainer.apply(op) {
-                applied += 1;
-            }
-        }
+        let phase = Instant::now();
+        let touched = apply_ops(&mut w.maintainer, ops);
+        let applied = touched.len() / 2;
         let epoch = w.epoch + 1;
+        self.metrics.update_apply.record(elapsed_ns(phase));
         if let Some(p) = w.persist.as_mut() {
+            let phase = Instant::now();
             let rec = WalRecord {
                 epoch,
                 ops: ops.to_vec(),
@@ -826,14 +832,21 @@ impl Dataset {
                     self.name
                 ));
             }
+            self.metrics.update_wal.record(elapsed_ns(phase));
             crash::abort_if("post-append");
         }
+        let phase = Instant::now();
         w.epoch = epoch;
         w.ops_applied += applied as u64;
-        let snapshot = Self::build_snapshot(self.mode, &mut w);
+        // `current` is swapped only under the writer lock we hold, so its
+        // graph is the writer's state before this batch.
+        let base = self.snapshot().graph.clone();
+        let graph = Arc::new(w.maintainer.graph().refreeze(&base, &touched));
+        let snapshot = Self::build_snapshot(self.mode, &mut w, graph);
         let (sn, sm) = (snapshot.graph.n(), snapshot.graph.m());
         let stale = snapshot.stale_members;
         *self.current.write().unwrap() = snapshot;
+        self.metrics.update_publish.record(elapsed_ns(phase));
         self.metrics.epoch.set(epoch as i64);
         self.metrics.stale_members.set(stale as i64);
         if let Some(p) = w.persist.as_ref() {
@@ -889,7 +902,9 @@ impl Dataset {
 
     fn compact_locked(&self, w: &mut Writer) -> Result<u64, String> {
         let epoch = w.epoch;
-        let g = w.maintainer.to_csr();
+        // Every batch publishes before the writer lock we hold is released,
+        // so the current snapshot's graph is the writer's state.
+        let g = self.snapshot().graph.clone();
         let Some(p) = w.persist.as_mut() else {
             return Err("dataset is not persistent".into());
         };
@@ -913,28 +928,20 @@ impl Dataset {
         }
     }
 
-    /// Builds the snapshot for the writer's current state. Called with the
-    /// writer lock held; the expensive part (CSR rebuild, maintained
-    /// top-k read-off) happens outside any reader-visible lock.
-    fn build_snapshot(mode: Mode, w: &mut Writer) -> Arc<EpochSnapshot> {
-        let (graph, maintained, stale) = match (&mut w.maintainer, mode) {
-            (Maintainer::Local(li), Mode::Local { publish_k }) => {
-                (Arc::new(li.graph().to_csr()), Some(li.top_k(publish_k)), 0)
-            }
+    /// Builds the snapshot of the writer's current state around `graph`,
+    /// the CSR of that state. Called with the writer lock held; the
+    /// maintained top-k read-off happens outside any reader-visible lock.
+    fn build_snapshot(mode: Mode, w: &mut Writer, graph: Arc<CsrGraph>) -> Arc<EpochSnapshot> {
+        let (maintained, stale) = match (&mut w.maintainer, mode) {
+            (Maintainer::Local(li), Mode::Local { publish_k }) => (Some(li.top_k(publish_k)), 0),
             (Maintainer::Lazy(lz), Mode::Lazy { .. }) => {
                 let peek = lz.peek_top_k();
                 let maintained = (peek.stale_members == 0).then_some(peek.entries);
-                (
-                    Arc::new(lz.graph().to_csr()),
-                    maintained,
-                    peek.stale_members,
-                )
+                (maintained, peek.stale_members)
             }
             // The delta heap is re-certified after every applied op, so
             // the read-off is O(k log k) — no full sort on publish.
-            (Maintainer::Delta(di), Mode::Delta { .. }) => {
-                (Arc::new(di.graph().to_csr()), Some(di.top_k()), 0)
-            }
+            (Maintainer::Delta(di), Mode::Delta { .. }) => (Some(di.top_k()), 0),
             _ => unreachable!("maintainer/mode pairing is fixed at construction"),
         };
         Arc::new(EpochSnapshot::new(w.epoch, graph, maintained, stale))
@@ -955,7 +962,8 @@ impl Dataset {
             return None;
         };
         let entries = lz.top_k();
-        let snapshot = Self::build_snapshot(self.mode, &mut w);
+        let graph = self.snapshot().graph.clone();
+        let snapshot = Self::build_snapshot(self.mode, &mut w, graph);
         debug_assert_eq!(snapshot.epoch, epoch);
         debug_assert!(snapshot.maintained.is_some());
         *self.current.write().unwrap() = snapshot;
@@ -970,6 +978,26 @@ impl Dataset {
         let snap = self.snapshot();
         topk_from_scores(&egobtw_core::compute_all(&snap.graph).0, k)
     }
+}
+
+/// Applies `ops` through the maintainer, skipping out-of-range endpoints
+/// (forgiving stream semantics, matching [`egobtw_dynamic::replay_graph`]).
+/// Returns both endpoints of every op that changed the graph, in order —
+/// the rows an epoch patch must replace.
+fn apply_ops(maintainer: &mut Maintainer, ops: &[EdgeOp]) -> Vec<VertexId> {
+    let n = maintainer.n();
+    let mut touched = Vec::new();
+    for &op in ops {
+        let (u, v) = op.endpoints();
+        if (u as usize) < n && (v as usize) < n && maintainer.apply(op) {
+            touched.extend([u, v]);
+        }
+    }
+    touched
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos() as u64
 }
 
 struct UpdateJob {
@@ -1369,6 +1397,46 @@ mod tests {
     }
 
     #[test]
+    fn one_update_records_one_sample_per_phase() {
+        let registry = Registry::new();
+        let mut ds = Dataset::new("k", classic::karate_club(), Mode::default());
+        ds.attach_metrics(DatasetMetrics::registered(&registry, "k", 0));
+        ds.apply_updates(&[EdgeOp::Insert(0, 9)]).unwrap();
+        let samples = |phase| {
+            registry
+                .histogram_snapshot(
+                    "egobtw_update_phase_ns",
+                    &[("dataset", "k"), ("shard", "0"), ("phase", phase)],
+                )
+                .map(|h| h.count())
+        };
+        assert_eq!(samples("apply"), Some(1));
+        assert_eq!(samples("publish"), Some(1));
+        assert_eq!(samples("wal"), Some(0), "in-memory datasets append no WAL");
+
+        let dir = std::env::temp_dir().join(format!("egobtw-phase-{}", std::process::id()));
+        let cfg = PersistConfig {
+            dir: dir.clone(),
+            fsync: wal::FsyncPolicy::Never,
+            compact_every: u64::MAX,
+        };
+        let durable =
+            Dataset::create_persistent("d", classic::karate_club(), Mode::default(), &cfg).unwrap();
+        durable.apply_updates(&[EdgeOp::Delete(0, 1)]).unwrap();
+        let m = durable.metrics();
+        assert_eq!(
+            (
+                m.update_apply.snapshot().count(),
+                m.update_wal.snapshot().count(),
+                m.update_publish.snapshot().count()
+            ),
+            (1, 1, 1)
+        );
+        drop(durable);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn out_of_range_and_self_loop_ops_are_skipped() {
         let ds = Dataset::new("k", classic::star(5), Mode::default());
         let out = ds
@@ -1441,7 +1509,7 @@ mod tests {
         let snap2 = ds.snapshot();
         assert_eq!(snap2.epoch, 1);
         assert_eq!(snap2.maintained.as_ref().unwrap(), &entries);
-        assert!(Arc::ptr_eq(&snap.graph, &snap2.graph) || snap.graph.m() == snap2.graph.m());
+        assert!(Arc::ptr_eq(&snap.graph, &snap2.graph));
         // Refresh for a stale epoch is refused.
         ds.apply_updates(&[EdgeOp::Insert(0, 5)]).unwrap();
         assert!(ds.refresh_maintained(1).is_none());

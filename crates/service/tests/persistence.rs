@@ -262,3 +262,82 @@ fn retire_deletes_the_directory_and_refuses_further_writes() {
     let err = ds.apply_updates(&[EdgeOp::Insert(0, 6)]).unwrap_err();
     assert!(err.contains("retired"), "{err}");
 }
+
+/// Structural equality of a published graph and the replayed truth:
+/// every adjacency slice, the hub threshold and every hub bitmap row.
+fn assert_same_graph(got: &CsrGraph, want: &CsrGraph, tag: &str) {
+    assert_eq!(got.validate(), Ok(()), "{tag}: validate");
+    assert_eq!((got.n(), got.m()), (want.n(), want.m()), "{tag}: n, m");
+    assert_eq!(
+        got.hub_threshold(),
+        want.hub_threshold(),
+        "{tag}: hub threshold"
+    );
+    for u in want.vertices() {
+        assert_eq!(got.neighbors(u), want.neighbors(u), "{tag}: N({u})");
+        assert_eq!(
+            got.hub_bitmap(u),
+            want.hub_bitmap(u),
+            "{tag}: hub row of {u}"
+        );
+    }
+}
+
+#[test]
+fn patched_epochs_equal_the_replayed_graph_in_every_mode() {
+    let g0 = egobtw_gen::barabasi_albert(300, 5, 0xE9);
+    assert!(g0.hub_count() > 0, "the test needs hub rows to patch");
+    let hub = g0.vertices().max_by_key(|&u| g0.degree(u)).unwrap();
+    for mode in [
+        Mode::Delta { k: 8 },
+        Mode::Local { publish_k: 8 },
+        Mode::Lazy { k: 8 },
+    ] {
+        let tag = mode.render();
+        let dir = TempDir::new("patch");
+        let cfg = cfg(&dir, 16);
+        let ds = Dataset::create_persistent("p", g0.clone(), mode, &cfg).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut ops = Vec::new();
+        // ops_through[e] = how many ops epochs 1..=e carried.
+        let mut ops_through = vec![0];
+        for epoch in 1..=60u64 {
+            // Half the ops hit the top hub, so its row is repacked while
+            // the other hubs' rows are shared; some ops are no-ops.
+            let batch: Vec<EdgeOp> = (0..rng.random_range(1..9))
+                .map(|_| {
+                    let u = if rng.random_bool(0.5) {
+                        hub
+                    } else {
+                        rng.random_range(0..300)
+                    };
+                    let v = rng.random_range(0..300);
+                    if rng.random_bool(0.5) {
+                        EdgeOp::Insert(u, v)
+                    } else {
+                        EdgeOp::Delete(u, v)
+                    }
+                })
+                .collect();
+            assert_eq!(ds.apply_updates(&batch).unwrap().epoch, epoch);
+            ops.extend(batch);
+            ops_through.push(ops.len());
+            let truth = replay_graph(&g0, &ops).to_csr();
+            assert_same_graph(
+                &ds.snapshot().graph,
+                &truth,
+                &format!("{tag} epoch {epoch}"),
+            );
+        }
+        // Compaction every 16 batches: the newest snapshot file is epoch 48.
+        let (epoch, snap) = egobtw_service::wal::latest_snapshot(&dir.path().join("p")).unwrap();
+        assert_eq!(epoch, 48);
+        let truth = replay_graph(&g0, &ops[..ops_through[48]]).to_csr();
+        assert_same_graph(&snap, &truth, &format!("{tag} snapshot file"));
+        drop(ds);
+        let (rec, report) = Dataset::recover("p", &cfg).unwrap();
+        assert_eq!((report.snapshot_epoch, report.epoch), (48, 60));
+        let truth = replay_graph(&g0, &ops).to_csr();
+        assert_same_graph(&rec.snapshot().graph, &truth, &format!("{tag} recovered"));
+    }
+}
