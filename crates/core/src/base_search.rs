@@ -9,7 +9,7 @@
 
 use crate::engine::Engine;
 use crate::topk::{TopKSet, TopkResult};
-use egobtw_graph::CsrGraph;
+use egobtw_graph::{CsrGraph, DegreeOrder, OrientedGraph};
 
 /// Runs BaseBSearch for the top `k` ego-betweenness vertices.
 ///
@@ -27,9 +27,11 @@ pub fn base_bsearch(g: &CsrGraph, k: usize) -> TopkResult {
             stats: engine.stats,
         };
     }
+    let order = DegreeOrder::new(g);
+    let og = OrientedGraph::new(g, &order);
     let n = g.n();
     for i in 0..n {
-        let u = engine.order().at(i);
+        let u = order.at(i);
         if top.is_full() {
             let min_cb = top.min_score().expect("full set has a minimum");
             if min_cb >= g.degree_bound(u) {
@@ -37,7 +39,7 @@ pub fn base_bsearch(g: &CsrGraph, k: usize) -> TopkResult {
                 break;
             }
         }
-        engine.process_vertex_in_order(u);
+        engine.process_vertex_in_order(u, &order, &og);
         let cb = engine.finalize_in_order(u);
         top.offer(u, cb);
     }

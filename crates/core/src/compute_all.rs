@@ -17,7 +17,7 @@
 use crate::cancel::{Cancel, Cancelled};
 use crate::smap::SMapStore;
 use crate::stats::SearchStats;
-use egobtw_graph::{CsrGraph, EdgeSet, KernelParams, VertexId};
+use egobtw_graph::{CsrGraph, KernelParams, VertexId};
 
 /// Computes `CB(v)` for every vertex. Returns the values and work counters.
 pub fn compute_all(g: &CsrGraph) -> (Vec<f64>, SearchStats) {
@@ -40,12 +40,11 @@ pub fn compute_all_cancellable(
     let params = KernelParams::new();
     let mut store = SMapStore::new(g.n());
     let mut stats = SearchStats::default();
-    let edges = EdgeSet::from_graph(g);
     let mut lo = 0usize;
     while lo < g.n() {
         cancel.check()?;
         let hi = (lo + CANCEL_CHUNK).min(g.n());
-        process_edge_range_with(g, &edges, &mut store, &mut stats, lo, hi, &params);
+        process_edge_range_with(g, &mut store, &mut stats, lo, hi, &params);
         lo = hi;
     }
     let mut cb = Vec::with_capacity(g.n());
@@ -85,30 +84,16 @@ pub fn build_store(g: &CsrGraph) -> (SMapStore, SearchStats) {
 pub fn build_store_with(g: &CsrGraph, params: &KernelParams) -> (SMapStore, SearchStats) {
     let mut store = SMapStore::new(g.n());
     let mut stats = SearchStats::default();
-    let edges = EdgeSet::from_graph(g);
-    process_edge_range_with(g, &edges, &mut store, &mut stats, 0, g.n(), params);
+    process_edge_range_with(g, &mut store, &mut stats, 0, g.n(), params);
     (store, stats)
 }
 
 /// Processes the edges *owned* by vertices `lo..hi` (an edge `(u,v)` with
-/// `u < v` is owned by `u`), updating `store` in place. Factored out so the
-/// parallel crate can partition ownership ranges; the sequential
-/// [`compute_all`] is the single-range instantiation.
-pub fn process_edge_range(
-    g: &CsrGraph,
-    edges: &EdgeSet,
-    store: &mut SMapStore,
-    stats: &mut SearchStats,
-    lo: usize,
-    hi: usize,
-) {
-    process_edge_range_with(g, edges, store, stats, lo, hi, &KernelParams::new());
-}
-
-/// [`process_edge_range`] with explicit dispatch thresholds.
+/// `u < v` is owned by `u`) under the given dispatch thresholds, updating
+/// `store` in place. [`compute_all_cancellable`] drives it chunk by
+/// chunk; [`build_store_with`] is the single-range instantiation.
 pub fn process_edge_range_with(
     g: &CsrGraph,
-    edges: &EdgeSet,
     store: &mut SMapStore,
     stats: &mut SearchStats,
     lo: usize,
@@ -127,17 +112,18 @@ pub fn process_edge_range_with(
             }
             common.clear();
             g.common_neighbors_into_with(a, b, params, &mut common);
-            apply_edge(edges, store, stats, a, b, &common);
+            apply_edge(g, store, stats, a, b, &common);
         }
     }
 }
 
 /// Applies one edge's triangle/diamond contributions given its common
-/// neighborhood. Exposed for the parallel crate, which computes `common`
-/// itself and routes map access through locks.
+/// neighborhood; `(x,y) ∈ E` is answered by [`CsrGraph::has_edge`].
+/// Exposed for the parallel crate, which computes `common` itself and
+/// routes map access through locks.
 #[inline]
 pub fn apply_edge(
-    edges: &EdgeSet,
+    g: &CsrGraph,
     store: &mut SMapStore,
     stats: &mut SearchStats,
     a: VertexId,
@@ -152,7 +138,7 @@ pub fn apply_edge(
     // exact triangle count is needed. Here we count corner-writes.
     for (i, &x) in common.iter().enumerate() {
         for &y in common.iter().skip(i + 1) {
-            if !edges.contains(x, y) {
+            if !g.has_edge(x, y) {
                 store.map_mut(a).add_connector(x, y);
                 store.map_mut(b).add_connector(x, y);
                 stats.diamonds_counted += 1;
@@ -250,10 +236,11 @@ mod tests {
     fn agrees_with_ordered_engine() {
         let g = gnp(40, 0.2, 17);
         let (edge_centric, _) = compute_all(&g);
+        let order = egobtw_graph::DegreeOrder::new(&g);
+        let og = egobtw_graph::OrientedGraph::new(&g, &order);
         let mut engine = crate::engine::Engine::new(&g);
-        for i in 0..g.n() {
-            let u = engine.order().at(i);
-            engine.process_vertex_in_order(u);
+        for u in order.iter() {
+            engine.process_vertex_in_order(u, &order, &og);
             let cb = engine.finalize_in_order(u);
             assert!((cb - edge_centric[u as usize]).abs() < 1e-9, "vertex {u}");
         }

@@ -24,28 +24,67 @@
 //! * OptBSearch calls [`Engine::complete_vertex`] (the paper's EgoBWCal),
 //!   which processes exactly the still-unprocessed triangles containing
 //!   the vertex, wherever the search has wandered so far.
+//!
+//! An `Engine` holds only what both searches read: the partial maps, the
+//! `cn` lists (one arena of index-linked nodes, so a list costs no
+//! allocation of its own), the completion flags and cached values, and
+//! reusable scratch (EgoBWCal marks `cn` members in an n-sized stamp
+//! array instead of building a set per neighbor). Edge membership goes to
+//! [`CsrGraph::has_edge`] (a hub-bitmap bit-probe or a short binary
+//! search). BaseBSearch builds and owns the total order and the acyclic
+//! orientation it walks, and passes them to each
+//! [`Engine::process_vertex_in_order`] call; OptBSearch never builds them.
 
 use crate::smap::SMapStore;
 use crate::stats::SearchStats;
 use egobtw_graph::triangle::intersect_rank_sorted;
-use egobtw_graph::{
-    pack_pair, CsrGraph, DegreeOrder, EdgeSet, FxHashMap, FxHashSet, OrientedGraph, VertexId,
-};
+use egobtw_graph::{pack_pair, CsrGraph, DegreeOrder, FxHashMap, OrientedGraph, VertexId};
+
+/// `next` of the last node of a `cn` list.
+const NIL: u32 = u32::MAX;
+
+/// One `cn(p,q)` list: first and last node in the arena, and its length.
+#[derive(Clone, Copy)]
+struct CnList {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl CnList {
+    const EMPTY: CnList = CnList {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// An arena node: one member of a `cn` list and the index of the next.
+#[derive(Clone, Copy)]
+struct CnNode {
+    x: VertexId,
+    next: u32,
+}
 
 /// Shared state of one search over one graph.
 pub struct Engine<'g> {
     g: &'g CsrGraph,
-    order: DegreeOrder,
-    og: OrientedGraph,
-    edges: EdgeSet,
     store: SMapStore,
     /// Per-edge list of common neighbors already seen in processed
-    /// triangles (`rd` in Algorithm 3).
-    cn: FxHashMap<u64, Vec<VertexId>>,
+    /// triangles (`rd` in Algorithm 3), kept in insertion order: that
+    /// order fixes the sequence of connector writes into the `S` maps,
+    /// and with it the bits of their hash-order sums.
+    cn: FxHashMap<u64, CnList>,
+    /// Node arena behind every `cn` list.
+    cn_nodes: Vec<CnNode>,
     /// `B` array of the paper: vertices whose `CB` is exact.
     completed: Vec<bool>,
     /// Cached exact values for completed vertices (NaN = not computed).
     cb_cache: Vec<f64>,
+    /// EgoBWCal's membership marks: `seen[x] == stamp` ⟺ `x` is in the
+    /// `cn` list of the edge being completed.
+    seen: Vec<u32>,
+    stamp: u32,
     tri_buf: Vec<(VertexId, VertexId)>,
     scratch: Vec<VertexId>,
     /// Work counters for the current run.
@@ -53,34 +92,26 @@ pub struct Engine<'g> {
 }
 
 impl<'g> Engine<'g> {
-    /// Fresh engine over `g` (computes the total order, the orientation,
-    /// and the edge set; allocates empty maps).
+    /// Fresh engine over `g` (allocates empty maps and n-sized flags).
     pub fn new(g: &'g CsrGraph) -> Self {
-        let order = DegreeOrder::new(g);
-        let og = OrientedGraph::new(g, &order);
         Engine {
             g,
-            og,
-            edges: EdgeSet::from_graph(g),
             store: SMapStore::new(g.n()),
             cn: FxHashMap::default(),
+            cn_nodes: Vec::new(),
             completed: vec![false; g.n()],
             cb_cache: vec![f64::NAN; g.n()],
+            seen: vec![0; g.n()],
+            stamp: 0,
             tri_buf: Vec::new(),
             scratch: Vec::new(),
             stats: SearchStats::default(),
-            order,
         }
     }
 
     /// The graph this engine runs over.
     pub fn graph(&self) -> &CsrGraph {
         self.g
-    }
-
-    /// The total order `≺`.
-    pub fn order(&self) -> &DegreeOrder {
-        &self.order
     }
 
     /// Read access to the map store (tests and harnesses).
@@ -113,32 +144,50 @@ impl<'g> Engine<'g> {
         self.store.map_mut(b).set_edge(a, c);
         self.store.map_mut(c).set_edge(a, b);
         for (p, q, t) in [(a, b, c), (a, c, b), (b, c, a)] {
-            let list = self.cn.entry(pack_pair(p, q)).or_default();
-            for &x in list.iter() {
+            let list = self.cn.entry(pack_pair(p, q)).or_insert(CnList::EMPTY);
+            let mut at = list.head;
+            while at != NIL {
+                let CnNode { x, next } = self.cn_nodes[at as usize];
                 debug_assert!(x != t, "triangle ({p},{q},{t}) processed twice");
-                if !self.edges.contains(x, t) {
+                if !self.g.has_edge(x, t) {
                     self.store.map_mut(p).add_connector(x, t);
                     self.store.map_mut(q).add_connector(x, t);
                     self.stats.diamonds_counted += 1;
                 }
+                at = next;
             }
-            // `list` stayed valid throughout: the loop body only touched
-            // `store`/`edges`/`stats`, all disjoint fields.
-            list.push(t);
+            // The arena grows by one node at a time, so it reaches `NIL`
+            // before an index could wrap.
+            let node = self.cn_nodes.len() as u32;
+            assert!(node != NIL, "cn arena outgrew u32 indices");
+            self.cn_nodes.push(CnNode { x: t, next: NIL });
+            if list.tail == NIL {
+                list.head = node;
+            } else {
+                self.cn_nodes[list.tail as usize].next = node;
+            }
+            list.tail = node;
+            list.len += 1;
         }
     }
 
     /// BaseBSearch step: processes every triangle *led by* `u` (i.e. with
-    /// `u` as its `≺`-minimal corner). When vertices are fed in total
-    /// order, `S_u` is complete at the end of `u`'s own call.
-    pub fn process_vertex_in_order(&mut self, u: VertexId) {
+    /// `u` as its `≺`-minimal corner) under the caller's total order and
+    /// its orientation. When vertices are fed in that order, `S_u` is
+    /// complete at the end of `u`'s own call.
+    pub fn process_vertex_in_order(
+        &mut self,
+        u: VertexId,
+        order: &DegreeOrder,
+        og: &OrientedGraph,
+    ) {
         let mut tris = std::mem::take(&mut self.tri_buf);
         let mut scratch = std::mem::take(&mut self.scratch);
         tris.clear();
-        let nu = self.og.out_neighbors(u);
+        let nu = og.out_neighbors(u);
         for &v in nu {
             scratch.clear();
-            intersect_rank_sorted(&self.order, nu, self.og.out_neighbors(v), &mut scratch);
+            intersect_rank_sorted(order, nu, og.out_neighbors(v), &mut scratch);
             tris.extend(scratch.iter().map(|&w| (v, w)));
         }
         for &(v, w) in &tris {
@@ -170,31 +219,30 @@ impl<'g> Engine<'g> {
             return self.cb_cache[u as usize];
         }
         let mut full = std::mem::take(&mut self.scratch);
-        let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-        let mut fresh: Vec<(VertexId, VertexId)> = Vec::new();
         for idx in 0..self.g.degree(u) {
             let b = self.g.neighbors(u)[idx];
             full.clear();
             // Hybrid dispatch: hub rows answer with bit-probes instead of
             // rescanning the long sorted slice (EgoBWCal's hot query).
             self.g.common_neighbors_into(u, b, &mut full);
-            seen.clear();
-            if let Some(list) = self.cn.get(&pack_pair(u, b)) {
-                if list.len() == full.len() {
-                    continue; // every triangle on edge (u,b) already done
+            let list = self.cn.get(&pack_pair(u, b)).copied();
+            if list.is_some_and(|l| l.len as usize == full.len()) {
+                continue; // every triangle on edge (u,b) already done
+            }
+            // Mark `cn(u,b)`; the unmarked corners are the fresh triangles.
+            // Processing them appends only to `cn(u,b)`, never to the marks.
+            let stamp = self.next_stamp();
+            let mut at = list.map_or(NIL, |l| l.head);
+            while at != NIL {
+                let node = self.cn_nodes[at as usize];
+                self.seen[node.x as usize] = stamp;
+                at = node.next;
+            }
+            for &y in &full {
+                if self.seen[y as usize] != stamp {
+                    self.process_triangle(u, b, y);
                 }
-                seen.extend(list.iter().copied());
             }
-            fresh.extend(
-                full.iter()
-                    .copied()
-                    .filter(|y| !seen.contains(y))
-                    .map(|y| (b, y)),
-            );
-            for &(b2, y) in fresh.iter() {
-                self.process_triangle(u, b2, y);
-            }
-            fresh.clear();
         }
         self.scratch = full;
         self.completed[u as usize] = true;
@@ -202,6 +250,17 @@ impl<'g> Engine<'g> {
         let cb = self.dynamic_bound(u);
         self.cb_cache[u as usize] = cb;
         cb
+    }
+
+    /// A stamp no entry of `seen` holds yet (clearing the marks on the
+    /// rare wrap-around).
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.stamp
     }
 }
 
@@ -221,10 +280,11 @@ mod tests {
     /// Ordered processing (BaseBSearch style) matches the oracle on every
     /// vertex.
     fn check_ordered(g: &CsrGraph) {
+        let order = DegreeOrder::new(g);
+        let og = OrientedGraph::new(g, &order);
         let mut e = Engine::new(g);
-        let order: Vec<VertexId> = e.order().iter().collect();
-        for u in order {
-            e.process_vertex_in_order(u);
+        for u in order.iter() {
+            e.process_vertex_in_order(u, &order, &og);
             let cb = e.finalize_in_order(u);
             assert_close(cb, ego_betweenness_of(g, u), &format!("vertex {u}"));
         }

@@ -695,8 +695,9 @@ impl CsrGraph {
     }
 
     /// Edge membership: one bit-probe when either endpoint is a hub,
-    /// otherwise binary search (`O(log d)`) on the smaller endpoint. For
-    /// guaranteed O(1) membership in hot loops build an [`crate::EdgeSet`].
+    /// otherwise binary search (`O(log d)`) on the smaller endpoint. Every
+    /// engine's diamond test goes through here; the hub rows make the
+    /// probes against high-degree vertices — the long rows — O(1).
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         if u == v {

@@ -17,7 +17,6 @@
 //!   exactly once, at its `≺`-minimal vertex);
 //! * [`DynGraph`] — a mutable adjacency structure for the dynamic
 //!   maintenance algorithms;
-//! * [`EdgeSet`] — O(1) edge membership via packed pair keys;
 //! * [`io`] — SNAP-style edge-list reading and writing;
 //! * [`hash`] / [`pair`] — a fast Fx-style hasher and packed `(u,v)`
 //!   pair keys used pervasively by the hot per-vertex maps.
@@ -30,7 +29,6 @@
 pub mod builder;
 pub mod csr;
 pub mod dynamic;
-pub mod edgeset;
 pub mod hash;
 pub mod intersect;
 pub mod io;
@@ -41,7 +39,6 @@ pub mod triangle;
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, HybridConfig};
 pub use dynamic::DynGraph;
-pub use edgeset::EdgeSet;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use intersect::KernelParams;
 pub use order::{DegreeOrder, OrientedGraph, Relabeling};

@@ -1,7 +1,7 @@
 //! VertexPEBW and EdgePEBW.
 
 use egobtw_core::smap::PairMap;
-use egobtw_graph::{CsrGraph, DegreeOrder, EdgeSet, OrientedGraph, VertexId};
+use egobtw_graph::{CsrGraph, DegreeOrder, OrientedGraph, VertexId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -24,7 +24,7 @@ impl SharedMaps {
     /// Processes one undirected edge `(a,b)` given its sorted common
     /// neighborhood. Locks are acquired one map at a time.
     #[inline]
-    fn apply_edge(&self, edges: &EdgeSet, a: VertexId, b: VertexId, common: &[VertexId]) {
+    fn apply_edge(&self, g: &CsrGraph, a: VertexId, b: VertexId, common: &[VertexId]) {
         for &x in common {
             self.maps[x as usize].lock().set_edge(a, b);
         }
@@ -36,7 +36,7 @@ impl SharedMaps {
         let mut map_a = self.maps[a as usize].lock();
         for (i, &x) in common.iter().enumerate() {
             for &y in common.iter().skip(i + 1) {
-                if !edges.contains(x, y) {
+                if !g.has_edge(x, y) {
                     map_a.add_connector(x, y);
                 }
             }
@@ -45,7 +45,7 @@ impl SharedMaps {
         let mut map_b = self.maps[b as usize].lock();
         for (i, &x) in common.iter().enumerate() {
             for &y in common.iter().skip(i + 1) {
-                if !edges.contains(x, y) {
+                if !g.has_edge(x, y) {
                     map_b.add_connector(x, y);
                 }
             }
@@ -98,7 +98,6 @@ pub fn vertex_pebw(g: &CsrGraph, threads: usize) -> Vec<f64> {
     assert!(threads >= 1);
     let order = DegreeOrder::new(g);
     let og = OrientedGraph::new(g, &order);
-    let edges = EdgeSet::from_graph(g);
     let shared = SharedMaps::new(g.n());
     let cursor = AtomicUsize::new(0);
     let n = g.n();
@@ -116,7 +115,7 @@ pub fn vertex_pebw(g: &CsrGraph, threads: usize) -> Vec<f64> {
                         for &v in og.out_neighbors(u) {
                             common.clear();
                             g.common_neighbors_into(u, v, &mut common);
-                            shared.apply_edge(&edges, u, v, &common);
+                            shared.apply_edge(g, u, v, &common);
                         }
                     }
                 }
@@ -131,7 +130,6 @@ pub fn vertex_pebw(g: &CsrGraph, threads: usize) -> Vec<f64> {
 pub fn edge_pebw(g: &CsrGraph, threads: usize) -> Vec<f64> {
     assert!(threads >= 1);
     let edge_list: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let edges = EdgeSet::from_graph(g);
     let shared = SharedMaps::new(g.n());
     let cursor = AtomicUsize::new(0);
     let m = edge_list.len();
@@ -147,7 +145,7 @@ pub fn edge_pebw(g: &CsrGraph, threads: usize) -> Vec<f64> {
                     for &(a, b) in &edge_list[start..(start + CHUNK).min(m)] {
                         common.clear();
                         g.common_neighbors_into(a, b, &mut common);
-                        shared.apply_edge(&edges, a, b, &common);
+                        shared.apply_edge(g, a, b, &common);
                     }
                 }
             });

@@ -578,6 +578,27 @@ impl Service {
                 labels,
             )
             .add(stats.triangles_processed);
+        registry
+            .counter(
+                "egobtw_engine_diamonds_total",
+                "Diamonds (connector discoveries) counted, by engine.",
+                labels,
+            )
+            .add(stats.diamonds_counted);
+        registry
+            .counter(
+                "egobtw_engine_bound_refreshes_total",
+                "Dynamic upper-bound refreshes, by engine.",
+                labels,
+            )
+            .add(stats.bound_refreshes as u64);
+        registry
+            .counter(
+                "egobtw_engine_heap_reinserts_total",
+                "Search-heap re-insertions after a bound refresh, by engine.",
+                labels,
+            )
+            .add(stats.heap_reinserts as u64);
     }
 
     fn run_engine_cached(

@@ -286,3 +286,44 @@ fn latency_histogram_agrees_with_client_timings_within_one_bucket() {
         );
     }
 }
+
+/// A `TOPK` deeper than the maintained entries, on a freshly published
+/// epoch, runs OptBSearch. Each of its exact computations follows a
+/// bound refresh of the popped vertex, so the per-engine refresh counter
+/// rises at least as much as the exact counter, and the diamond and
+/// re-insertion series carry the engine label too.
+#[test]
+fn fresh_epoch_deep_topk_reports_refreshes_and_diamonds() {
+    const OPT: &str = "core::opt_search(θ=1.05)";
+    let service = Service::new();
+    let g = egobtw_gen::barabasi_albert(300, 4, 3);
+    let v = g.neighbors(0)[0];
+    service.load_graph("f", g, Mode::Delta { k: 4 }).unwrap();
+    let update = service.handle_line(&format!("UPDATE f -0,{v}"));
+    assert!(update.starts_with("OK"), "{update}");
+
+    let engine_total = |expo: &prometheus::Exposition, name: &str| {
+        expo.value(name, &[("engine", OPT)]).unwrap().unwrap_or(0.0)
+    };
+    let a = prometheus::parse(&service.handle_line("METRICS")).unwrap();
+    let reply = service.handle_line("TOPK f 16");
+    assert!(reply.starts_with("OK"), "{reply}");
+    let b = prometheus::parse(&service.handle_line("METRICS")).unwrap();
+    let delta = |name: &str| engine_total(&b, name) - engine_total(&a, name);
+
+    let exact = delta("egobtw_engine_exact_total");
+    let refreshes = delta("egobtw_engine_bound_refreshes_total");
+    assert!(
+        exact >= 16.0,
+        "k = 16 > maintained 4 ran the engine: {exact}"
+    );
+    assert!(
+        refreshes >= exact,
+        "every exact computation follows a refresh: {refreshes} < {exact}"
+    );
+    assert!(delta("egobtw_engine_diamonds_total") > 0.0);
+    assert!(b
+        .value("egobtw_engine_heap_reinserts_total", &[("engine", OPT)])
+        .unwrap()
+        .is_some());
+}
